@@ -1,37 +1,36 @@
-// Enumerator fast-path benchmark and identity gate (EXPERIMENTS.md E10).
+// Enumerator benchmark and identity gate (EXPERIMENTS.md E10).
 //
 // Runs the reference enumerator (the pre-fast-path algorithm, preserved in
-// enum_reference.cc: whole-plan clone per decomposition, full-key memo, no
-// pruning, no cost memo, sequential) against the production enumerator on
-// the same random query population, and
+// enum_reference.cc: whole-plan clone per decomposition, full-key memo,
+// sequential) against the production enumerator on the same random query
+// population, and
 //
-//   1. asserts PLAN IDENTITY: with pruning and the cost memo on, the fast
-//      enumerator must pick a plan with exactly the reference enumerator's
-//      cost (bitwise double equality), and the plan must be byte-identical
-//      across thread counts (fingerprint + rendered text);
-//   2. measures the WORK REDUCTION: cloned plan nodes + cost-model
-//      evaluations, the two quantities the fast path exists to avoid.
+//   1. asserts PLAN IDENTITY: the production enumerator must pick a plan
+//      with exactly the reference enumerator's cost (bitwise double
+//      equality);
+//   2. measures WALL TIME against the reference on the same queries
+//      (fast_ms_t1 vs ref_ms; tools/bench_check.py gates their ratio),
+//      plus the work counters: cloned plan nodes + cost-model evaluations.
 //
 // The reference runs in both modes EXPERIMENTS.md E10 tabulates:
-//   basic    — subplan reuse off (E10's "basic" column, the mode the
-//              headline acceptance number is measured against);
-//   enhanced — d-edge-guarded reuse on (the seed default), the harder
-//              yardstick, reported alongside.
+//   basic    — subplan reuse off (E10's "basic" column);
+//   enhanced — d-edge-guarded reuse on (the seed default), the yardstick
+//              the wall-time ratio is measured against.
 //
 // The process exit code reflects the identity checks ONLY — performance
-// numbers are reported, not gated, so the bench stays meaningful on slow
-// or contended machines. Results are written to BENCH_enum.json.
+// numbers are reported here and gated by tools/bench_check.py. Results are
+// written to BENCH_enum.json.
 //
 // Usage: bench_enumerator_perf [queries_per_size] [max_rels] [ref_max_rels]
 //                              [json_path] [basic_max_rels]
 //
-// The reference enumerator is exponential without pruning, so it only runs
-// up to ref_max_rels (default 8; the reuse-free basic mode stops at
-// basic_max_rels, default 7); above that the fast enumerator runs alone
-// (thread-count identity still checked) to show 9- and 10-relation queries
-// complete.
+// The enhanced reference runs up to ref_max_rels (default: max_rels, i.e.
+// uncapped); the reuse-free basic mode is exponential and stops at
+// basic_max_rels (default 7). Above ref_max_rels the production
+// enumerator runs alone.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -61,17 +60,8 @@ struct SizeRow {
   int64_t basic_calls = 0;
   int64_t fast_calls = 0;
   double fast_ms_t1 = 0;
-  double fast_ms_t4 = 0;
-  // Phase breakdown of the fast path (EnumeratorStats::phase_*_us): the
-  // sequential leader prefix vs the barrier-free follower pass.
-  double fast_leader_ms_t1 = 0;
-  double fast_followers_ms_t1 = 0;
-  double fast_leader_ms_t4 = 0;
-  double fast_followers_ms_t4 = 0;
   int64_t fast_clones = 0;
   int64_t fast_cost_evals = 0;
-  int64_t fast_prunes = 0;
-  int64_t fast_memo_hits = 0;
   int64_t fast_reuses = 0;
   int basic_budget_exceeded = 0;  // queries where capped basic gave up
   int fast_budget_completed = 0;  // queries fast finished within the cap
@@ -85,6 +75,9 @@ struct SizeRow {
   }
   double WorkReductionEnhanced() const {
     return FastWork() > 0 ? static_cast<double>(RefWork()) / FastWork() : 0.0;
+  }
+  double FastRefRatio() const {
+    return ref_ms > 0 ? fast_ms_t1 / ref_ms : 0.0;
   }
 };
 
@@ -105,11 +98,11 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
 
 int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
         const std::string& json_path) {
-  std::printf("==== Enumerator fast path vs reference (identity + work) "
+  std::printf("==== Enumerator vs reference (identity + wall time + work) "
               "====\n");
-  std::printf("%5s %8s | %12s %12s | %10s %10s %12s | %8s %8s | %8s %8s\n",
-              "rels", "queries", "basic work", "enh work", "fast ms", "t4 ms",
-              "fast work", "red/bas", "red/enh", "prunes", "memo");
+  std::printf("%5s %8s | %10s %10s %8s | %12s %12s %12s | %8s %8s\n",
+              "rels", "queries", "ref ms", "fast ms", "fast/ref",
+              "basic work", "enh work", "fast work", "red/bas", "red/enh");
 
   int failures = 0;
   std::vector<SizeRow> rows;
@@ -160,7 +153,7 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
         }
       }
 
-      EnumeratorOptions fast;  // defaults: prune + cost memo + reuse, t=1
+      EnumeratorOptions fast;  // defaults: d-edge-guarded reuse on
       TopDownEnumerator e1(&cost, fast);
       auto t0 = std::chrono::steady_clock::now();
       auto f1 = e1.Optimize(*query);
@@ -168,33 +161,12 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
       row.fast_clones += f1.stats.cloned_nodes;
       row.fast_cost_evals += f1.stats.cost_evals;
       row.fast_calls += f1.stats.subplan_calls;
-      row.fast_prunes += f1.stats.prunes;
-      row.fast_memo_hits += f1.stats.cost_memo_hits;
       row.fast_reuses += f1.stats.reuses;
-      row.fast_leader_ms_t1 += f1.stats.phase_leader_us / 1000.0;
-      row.fast_followers_ms_t1 += f1.stats.phase_followers_us / 1000.0;
 
       if (have_ref && f1.cost != ref_cost) {
         std::printf("IDENTITY FAIL: rels=%d query=%d fast cost %.17g != "
                     "reference cost %.17g\n",
                     n, qi, f1.cost, ref_cost);
-        ++failures;
-      }
-
-      EnumeratorOptions par = fast;
-      par.num_threads = 4;
-      TopDownEnumerator e4(&cost, par);
-      t0 = std::chrono::steady_clock::now();
-      auto f4 = e4.Optimize(*query);
-      row.fast_ms_t4 += MsSince(t0);
-      row.fast_leader_ms_t4 += f4.stats.phase_leader_us / 1000.0;
-      row.fast_followers_ms_t4 += f4.stats.phase_followers_us / 1000.0;
-      if (f4.cost != f1.cost ||
-          PlanFingerprint(*f4.plan) != PlanFingerprint(*f1.plan) ||
-          f4.plan->ToString() != f1.plan->ToString()) {
-        std::printf("IDENTITY FAIL: rels=%d query=%d threads=4 plan differs "
-                    "from threads=1\n",
-                    n, qi);
         ++failures;
       }
 
@@ -233,7 +205,8 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
       }
     }
 
-    char basic_work[32], enh_work[32], red_bas[16], red_enh[16];
+    char ref_ms[32], ratio[16], basic_work[32], enh_work[32], red_bas[16],
+        red_enh[16];
     if (row.basic_ran) {
       std::snprintf(basic_work, sizeof(basic_work), "%lld",
                     static_cast<long long>(row.BasicWork()));
@@ -244,20 +217,22 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
       std::snprintf(red_bas, sizeof(red_bas), "-");
     }
     if (row.ref_ran) {
+      std::snprintf(ref_ms, sizeof(ref_ms), "%.1f", row.ref_ms);
+      std::snprintf(ratio, sizeof(ratio), "%.2f", row.FastRefRatio());
       std::snprintf(enh_work, sizeof(enh_work), "%lld",
                     static_cast<long long>(row.RefWork()));
       std::snprintf(red_enh, sizeof(red_enh), "%.1fx",
                     row.WorkReductionEnhanced());
     } else {
+      std::snprintf(ref_ms, sizeof(ref_ms), "-");
+      std::snprintf(ratio, sizeof(ratio), "-");
       std::snprintf(enh_work, sizeof(enh_work), "-");
       std::snprintf(red_enh, sizeof(red_enh), "-");
     }
-    std::printf("%5d %8d | %12s %12s | %10.1f %10.1f %12lld | %8s %8s | "
-                "%8lld %8lld\n",
-                n, queries, basic_work, enh_work, row.fast_ms_t1,
-                row.fast_ms_t4, static_cast<long long>(row.FastWork()),
-                red_bas, red_enh, static_cast<long long>(row.fast_prunes),
-                static_cast<long long>(row.fast_memo_hits));
+    std::printf("%5d %8d | %10s %10.1f %8s | %12s %12s %12lld | %8s %8s\n",
+                n, queries, ref_ms, row.fast_ms_t1, ratio, basic_work,
+                enh_work, static_cast<long long>(row.FastWork()), red_bas,
+                red_enh);
     rows.push_back(row);
   }
 
@@ -282,6 +257,19 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
                   row.basic_budget_exceeded, row.queries,
                   row.fast_budget_completed, row.queries);
     }
+  }
+  double log_ratio_sum = 0;
+  int ratio_rows = 0;
+  for (const SizeRow& row : rows) {
+    if (row.rels >= 7 && row.FastRefRatio() > 0) {
+      log_ratio_sum += std::log(row.FastRefRatio());
+      ++ratio_rows;
+    }
+  }
+  if (ratio_rows > 0) {
+    std::printf("wall time vs the enhanced reference: geomean fast/ref over "
+                "%d row(s) with rels>=7 = %.3f\n",
+                ratio_rows, std::exp(log_ratio_sum / ratio_rows));
   }
   std::printf("identity checks: %s\n", failures == 0 ? "PASS" : "FAIL");
 
@@ -324,14 +312,10 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
           "\"ref_reuses\": %s, "
           "\"basic_ms\": %s, \"basic_cloned_nodes\": %s, "
           "\"basic_cost_evals\": %s, \"basic_subplan_calls\": %s, "
-          "\"fast_ms_t1\": %.2f, "
-          "\"fast_ms_t4\": %.2f, "
-          "\"fast_leader_ms_t1\": %.2f, \"fast_followers_ms_t1\": %.2f, "
-          "\"fast_leader_ms_t4\": %.2f, \"fast_followers_ms_t4\": %.2f, "
+          "\"fast_ms_t1\": %.2f, \"fast_ref_ratio\": %s, "
           "\"fast_cloned_nodes\": %lld, "
           "\"fast_cost_evals\": %lld, \"fast_subplan_calls\": %lld, "
-          "\"fast_prunes\": %lld, "
-          "\"fast_cost_memo_hits\": %lld, \"fast_reuses\": %lld, "
+          "\"fast_reuses\": %lld, "
           "\"basic_budget_exceeded\": %d, \"fast_budget_completed\": %d, "
           "\"work_reduction\": %s, \"work_reduction_enhanced\": %s}%s\n",
           r.rels, r.queries, r.ref_ran ? "true" : "false",
@@ -345,13 +329,11 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
           opt_i(b[6], sizeof(b[6]), r.basic_ran, r.basic_clones),
           opt_i(b[7], sizeof(b[7]), r.basic_ran, r.basic_cost_evals),
           opt_i(b[8], sizeof(b[8]), r.basic_ran, r.basic_calls),
-          r.fast_ms_t1, r.fast_ms_t4, r.fast_leader_ms_t1,
-          r.fast_followers_ms_t1, r.fast_leader_ms_t4,
-          r.fast_followers_ms_t4, static_cast<long long>(r.fast_clones),
+          r.fast_ms_t1,
+          opt_f(b[11], sizeof(b[11]), r.ref_ran, r.FastRefRatio()),
+          static_cast<long long>(r.fast_clones),
           static_cast<long long>(r.fast_cost_evals),
           static_cast<long long>(r.fast_calls),
-          static_cast<long long>(r.fast_prunes),
-          static_cast<long long>(r.fast_memo_hits),
           static_cast<long long>(r.fast_reuses),
           r.basic_budget_exceeded, r.fast_budget_completed,
           opt_f(b[9], sizeof(b[9]), r.basic_ran, r.WorkReductionBasic()),
@@ -373,7 +355,7 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
 int main(int argc, char** argv) {
   int queries = argc > 1 ? std::atoi(argv[1]) : 10;
   int max_rels = argc > 2 ? std::atoi(argv[2]) : 10;
-  int ref_max_rels = argc > 3 ? std::atoi(argv[3]) : 8;
+  int ref_max_rels = argc > 3 ? std::atoi(argv[3]) : max_rels;
   std::string json_path = argc > 4 ? argv[4] : "BENCH_enum.json";
   int basic_max_rels = argc > 5 ? std::atoi(argv[5]) : 7;
   return eca::Run(queries, max_rels, ref_max_rels, basic_max_rels, json_path);

@@ -48,15 +48,17 @@ namespace {
 // GenerateSubplan invocations per query. Counter-intuitively, STAR is the
 // topology that blows up: its spokes attach to the hub through independent
 // binary predicates, so nearly every spoke permutation is a legal
-// reordering and the search space explodes (the hardest benched 10-rel
-// star needs ~190k calls; a 12-rel star seed needs 2.7M). Clique workloads
-// look denser but their join predicates AND together conjuncts over all
-// earlier relations, which pins the legal decompositions to a handful
-// (tens of calls); chains stay polynomial. The cap sits between the 10-
-// and 12-relation star costs, so DP completes every benched workload at
-// <= 10 relations undegraded and trips on 12+-relation stars — which the
-// sizes-only and greedy policies then plan in microseconds.
-constexpr int64_t kDefaultDpNodeBudget = 250000;
+// reordering and the search space grows fastest (every benched 10-rel
+// star needs 4,609 calls, every 12-rel star 22,529 and every 14-rel star
+// 106,497). Clique workloads look denser but their join predicates AND
+// together conjuncts over all earlier relations, which pins the legal
+// decompositions to a handful (tens of calls); chains stay polynomial
+// (under 1,000 calls at 14 relations). The cap sits between the 10- and
+// 12-relation star costs, about 2x from each, so DP completes every
+// benched workload at <= 10 relations undegraded and trips on
+// 12+-relation stars — which the sizes-only and greedy policies then plan
+// in microseconds.
+constexpr int64_t kDefaultDpNodeBudget = 10000;
 
 constexpr PlanPolicy kPolicies[] = {PlanPolicy::kDp, PlanPolicy::kSizesOnly,
                                     PlanPolicy::kGreedy,

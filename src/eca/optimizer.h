@@ -38,9 +38,9 @@ class Optimizer {
     bool reuse_subplans = true;
     Executor::JoinPreference join_preference =
         Executor::JoinPreference::kHash;
-    // Threads for Execute()'s partitioned join/compensation evaluation and
-    // for Optimize()'s root-level pair enumeration; results are
-    // byte-identical for every value (docs/performance.md).
+    // Threads for Execute()'s partitioned join/compensation evaluation;
+    // results are byte-identical for every value (docs/performance.md).
+    // Execution only: Optimize() enumerates on the calling thread.
     int num_threads = 1;
     // Executor morsel/chunk granularity; results are byte-identical for
     // every legal value (fuzzed via ecafuzz --morsel-rows/--chunk-rows).

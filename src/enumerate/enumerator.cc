@@ -1,19 +1,15 @@
 #include "enumerate/enumerator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "enumerate/shared_memo.h"
 #include "enumerate/subtree.h"
@@ -30,16 +26,9 @@ int64_t SteadyNowMs() {
   int64_t real = std::chrono::duration_cast<std::chrono::milliseconds>(
                      std::chrono::steady_clock::now().time_since_epoch())
                      .count();
-  // Routed through the fault clock so deadline behavior (mid-search and
-  // in the root fan-out) is testable deterministically
-  // (testing/fault_injection).
+  // Routed through the fault clock so deadline behavior is testable
+  // deterministically (testing/fault_injection).
   return FaultClock::NowMs(real);
-}
-
-int64_t WallNowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 uint64_t FpMix(uint64_t h, uint64_t v) {
@@ -128,135 +117,43 @@ bool Contains(const std::vector<int>& sorted, int v) {
   return std::binary_search(sorted.begin(), sorted.end(), v);
 }
 
-// Budget state shared by every root task. Counters that feed hard caps are
-// atomics; the degraded/trigger report is first-trigger-wins under a mutex.
-struct SharedState {
-  const EnumeratorOptions* options = nullptr;
-  int64_t deadline_ms = 0;
-  std::atomic<int64_t> subplan_calls{0};
-  std::atomic<int64_t> cache_entries{0};
-  std::atomic<bool> stop{false};
-  std::mutex trip_mu;
-  bool degraded = false;
-  BudgetTrigger trigger = BudgetTrigger::kNone;
-
-  void Trip(BudgetTrigger t, bool hard) {
-    {
-      std::lock_guard<std::mutex> lock(trip_mu);
-      if (!degraded) {
-        degraded = true;
-        trigger = t;
-      }
-    }
-    if (hard) stop.store(true, std::memory_order_relaxed);
-  }
-
-  bool Exhausted() {
-    if (stop.load(std::memory_order_relaxed)) return true;
-    if (FaultInjector::ShouldFail(FaultPoint::kEnumeratorBudget)) {
-      Trip(BudgetTrigger::kInjectedFault, /*hard=*/true);
-      return true;
-    }
-    const EnumeratorBudget& b = options->budget;
-    if (b.max_enumerated_nodes > 0 &&
-        subplan_calls.load(std::memory_order_relaxed) >=
-            b.max_enumerated_nodes) {
-      Trip(BudgetTrigger::kEnumeratedNodes, /*hard=*/true);
-      return true;
-    }
-    if (deadline_ms > 0 && SteadyNowMs() >= deadline_ms) {
-      Trip(BudgetTrigger::kWallClock, /*hard=*/true);
-      return true;
-    }
-    return false;
-  }
-};
-
-// The search state of one root task. Tasks never share a Search, so
-// everything here is single-threaded; cross-task coordination goes through
-// SharedState (budget) and SharedMemo (proven subplans) only.
+// The search state of one Optimize() call: Algorithms 4-6 over one
+// d-edge-guarded memo, plus the budget checks.
 //
-// Memo layering: every entry this task stores lives in its task-local maps
-// first — so the task's own discoveries are always visible to itself, no
-// matter what the shared table did with them — and is then published into
-// the SharedMemo, where the (gen, leader) visibility rule decides who else
-// may see it (see shared_memo.h for the determinism argument). Probes go
-// local-first: a local entry only exists when it was strictly cheaper than
-// the visible shared entry at store time, so local-first is the same
-// update-if-cheaper discipline a single sequential memo has.
+// The memo is the search's local map. The caller's SharedMemo (the
+// cross-query plan cache), when there is one, holds whole plans only: the
+// root's entry is probed there on a local miss and published there once
+// found. Its entries are keyed by the whole query's fingerprint, so only
+// a structurally identical query can ever match them — and that query
+// hits the root entry first, which makes subplan entries dead weight.
 class Search {
  public:
-  Search(const CostModel* cost, SharedState* shared,
-         const EnumeratorOptions& options, SharedMemo* memo,
-         uint64_t query_fp, uint64_t epoch, uint64_t gen, bool leader)
+  Search(const CostModel* cost, const EnumeratorOptions& options,
+         SharedMemo* memo, RelSet root, uint64_t query_fp, uint64_t epoch,
+         uint64_t gen, int64_t deadline_ms)
       : cost_(cost),
-        shared_(shared),
         opt_(options),
         memo_(memo),
+        root_(root),
         query_fp_(query_fp),
         epoch_(epoch),
         gen_(gen),
-        leader_(leader) {}
+        deadline_ms_(deadline_ms) {}
 
   EnumeratorStats stats;
 
   // In-place Algorithm 2/5: finds the cheapest realization of relation set
   // `s` inside p's subtree under the join at `i_path` (the whole plan when
   // absent). On success returns true with the winner installed in *p; on
-  // failure returns false with *p exactly as on entry. `bound` is the
-  // branch-and-bound upper limit inherited from the caller: any realization
-  // costing strictly more than bound is useless to the caller, so the
-  // search may abandon such candidates early. Realizations tying the bound
-  // exactly must still complete — the root merge distinguishes equal-cost
-  // plans by fingerprint. The search must not cache its best when the
-  // bound cut anything off, because that best is only "best under the
-  // bound".
+  // failure returns false with *p exactly as on entry.
   bool GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
-                       RelSet s, double bound);
+                       RelSet s);
 
-  double SubtreeCost(const APlan& p, RelSet s) {
-    const Plan* sub = SubtreeOf(p.root.get(), s);
-    if (!opt_.cost_memo) {
-      ++stats.cost_evals;
-      return cost_->Cost(*sub);
-    }
-    uint64_t fp = PlanFingerprint(*sub, &pred_fp_);
-    auto it = cost_memo_.find(fp);
-    if (it != cost_memo_.end()) {
-      ++stats.cost_memo_hits;
-      return it->second;
-    }
-    if (memo_ != nullptr) {
-      // Shared subtree-cost table. Costs are a pure function of
-      // (fingerprint, stats epoch) — every publisher computes the same
-      // value — so sharing across tasks and queries can change how much
-      // work is saved, never which plan is chosen.
-      ++memo_stats_.cost_probes;
-      double c;
-      if (memo_->CostLookup(FpMix(fp, epoch_), &c)) {
-        ++memo_stats_.cost_hits;
-        ++stats.cost_memo_hits;
-        cost_memo_.emplace(fp, c);
-        return c;
-      }
-    }
-    ++stats.cost_evals;
-    double c = cost_->Cost(*sub);
-    cost_memo_.emplace(fp, c);
-    if (memo_ != nullptr) memo_->CostPublish(FpMix(fp, epoch_), c);
-    return c;
-  }
-
-  uint64_t Fingerprint(const Plan& plan) {
-    return PlanFingerprint(plan, &pred_fp_);
-  }
-
-  // Folds the locally-accumulated probe counters into the task stats and
-  // the owning memo's metrics. Call exactly once, when the task finishes.
-  void FinishTask() {
+  // Folds the locally-accumulated probe counters into the stats and the
+  // shared memo's metrics. Call exactly once, when the search finishes.
+  void Finish() {
     stats.sig_collisions += memo_stats_.sig_collisions;
     if (memo_ != nullptr) memo_->AccumulateProbeStats(memo_stats_);
-    memo_stats_ = MemoProbeStats{};
   }
 
  private:
@@ -264,6 +161,39 @@ class Search {
     std::vector<MemoExtKey> keys;  // canonically sorted
     uint64_t map_key = 0;
   };
+
+  // Records the first trigger; a hard trip also stops the search.
+  void Trip(BudgetTrigger t, bool hard) {
+    if (!stats.degraded) {
+      stats.degraded = true;
+      stats.trigger = t;
+    }
+    if (hard) stop_ = true;
+  }
+
+  bool Exhausted() {
+    if (stop_) return true;
+    if (FaultInjector::ShouldFail(FaultPoint::kEnumeratorBudget)) {
+      Trip(BudgetTrigger::kInjectedFault, /*hard=*/true);
+      return true;
+    }
+    const EnumeratorBudget& b = opt_.budget;
+    if (b.max_enumerated_nodes > 0 &&
+        stats.subplan_calls >= b.max_enumerated_nodes) {
+      Trip(BudgetTrigger::kEnumeratedNodes, /*hard=*/true);
+      return true;
+    }
+    if (deadline_ms_ > 0 && SteadyNowMs() >= deadline_ms_) {
+      Trip(BudgetTrigger::kWallClock, /*hard=*/true);
+      return true;
+    }
+    return false;
+  }
+
+  double SubtreeCost(const APlan& p, RelSet s) {
+    ++stats.cost_evals;
+    return cost_->Cost(*SubtreeOf(p.root.get(), s));
+  }
 
   // The external d-edge signature of subtree(p, s): every d-edge whose
   // source join lies inside but whose dependency target does not (or exists
@@ -327,7 +257,6 @@ class Search {
     mp.policy = static_cast<int>(opt_.policy);
     mp.epoch = epoch_;
     mp.ext_keys = &probe.keys;
-    mp.ignore_ext = opt_.unsafe_ignore_dedges;
     return mp;
   }
 
@@ -352,9 +281,11 @@ class Search {
     return nullptr;
   }
 
+  bool Cached(RelSet s) const { return memo_ != nullptr && s == root_; }
+
   const MemoPayload* FindEntry(const Probe& probe, RelSet s) {
     if (const MemoPayload* e = FindLocal(probe, s)) return e;
-    if (memo_ == nullptr) return nullptr;
+    if (!Cached(s)) return nullptr;
     return memo_->Find(ShapeProbe(probe, s), gen_, &memo_stats_);
   }
 
@@ -362,36 +293,26 @@ class Search {
     auto& bucket = local_memo_[probe.map_key];
     for (auto& e : bucket) {
       if (e->s == s && e->ext_keys == probe.keys) {
-        if (cost < e->cost) {
-          e = BuildPayload(p, s, probe, cost);
-          PublishShared(probe.map_key, e);
-        }
+        if (cost < e->cost) e = BuildPayload(p, s, probe, cost);
         return;
       }
     }
-    if (memo_ != nullptr) {
-      // Seed semantics against the shared view: a same-key entry only
-      // enters the local layer when strictly cheaper than the visible
-      // shared one, so FindEntry's local-first order never returns a worse
-      // subplan. Not counted as a probe — it is store bookkeeping.
-      MemoProbeStats scratch;
-      const MemoPayload* base = memo_->Find(ShapeProbe(probe, s), gen_,
-                                            &scratch);
-      if (base != nullptr && cost >= base->cost) return;
-    }
     const EnumeratorBudget& b = opt_.budget;
-    if (b.max_memo_entries > 0 &&
-        shared_->cache_entries.load(std::memory_order_relaxed) >=
-            b.max_memo_entries) {
+    if (b.max_memo_entries > 0 && stats.cache_entries >= b.max_memo_entries) {
       // Memo full: keep searching without caching this subplan. The search
       // stays exhaustive (soft trigger), it just loses reuse opportunities.
-      shared_->Trip(BudgetTrigger::kMemoEntries, /*hard=*/false);
+      Trip(BudgetTrigger::kMemoEntries, /*hard=*/false);
       return;
     }
     auto payload = BuildPayload(p, s, probe, cost);
     bucket.push_back(payload);
-    shared_->cache_entries.fetch_add(1, std::memory_order_relaxed);
-    PublishShared(probe.map_key, payload);
+    ++stats.cache_entries;
+    // A degraded search's best is not a proven optimum: it must not be
+    // served to later queries as one. Publish dedups against entries of
+    // concurrent queries and keeps the cheapest.
+    if (Cached(s) && !stats.degraded) {
+      memo_->Publish(probe.map_key, payload, gen_);
+    }
   }
 
   std::shared_ptr<const MemoPayload> BuildPayload(APlan* p, RelSet s,
@@ -434,12 +355,6 @@ class Search {
     return pl;
   }
 
-  void PublishShared(uint64_t map_key,
-                     const std::shared_ptr<const MemoPayload>& payload) {
-    if (memo_ == nullptr) return;
-    memo_->Publish(map_key, payload, gen_, leader_);
-  }
-
   void Graft(APlan* p, RelSet s, const MemoPayload& entry) {
     Plan* dst = SubtreeOf(p->root.get(), s);
     // Drop dependency edges owned by the replaced subplan.
@@ -472,28 +387,27 @@ class Search {
   }
 
   const CostModel* cost_;
-  SharedState* shared_;
   const EnumeratorOptions& opt_;
-  SharedMemo* memo_;  // null only in the unsafe_ignore_dedges ablation
+  SharedMemo* memo_;  // the caller's plan cache; null when there is none
+  const RelSet root_;  // the whole query's relation set
   const uint64_t query_fp_;
   const uint64_t epoch_;
   const uint64_t gen_;
-  const bool leader_;
+  const int64_t deadline_ms_;  // 0 = no deadline
+  bool stop_ = false;          // set by a hard budget trip
   MemoProbeStats memo_stats_;
-  // Task-local layer: everything this task stored, always visible to
-  // itself. Collisions on the 64-bit index land in one bucket and are told
-  // apart by the stored full key. Payloads are shared with the table.
+  // Local layer: everything this search stored. Collisions on the 64-bit
+  // index land in one bucket and are told apart by the stored full key.
+  // Payloads are shared with the table.
   std::unordered_map<uint64_t,
                      std::vector<std::shared_ptr<const MemoPayload>>>
       local_memo_;
-  std::unordered_map<const Predicate*, uint64_t> pred_fp_;
-  std::unordered_map<uint64_t, double> cost_memo_;
 };
 
 bool Search::GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
-                             RelSet s, double bound) {
-  if (shared_->Exhausted()) return false;
-  shared_->subplan_calls.fetch_add(1, std::memory_order_relaxed);
+                             RelSet s) {
+  if (Exhausted()) return false;
+  ++stats.subplan_calls;
   if (s.Count() <= 1) {
     // Best access path: a scan of the base relation (the only access path
     // in this engine; bestAccess[] hook of Algorithm 1).
@@ -558,11 +472,11 @@ bool Search::GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
   double best_cost = kInf;
 
   for (size_t k = 0; k < pairs.size(); ++k) {
-    if (shared_->Exhausted()) break;
+    if (Exhausted()) break;
     if (FaultInjector::ShouldFail(FaultPoint::kAllocation)) {
       // Simulated clone-allocation failure: stop expanding this search
       // branch and settle for the best plan found so far.
-      shared_->Trip(BudgetTrigger::kAllocationFault, /*hard=*/true);
+      Trip(BudgetTrigger::kAllocationFault, /*hard=*/true);
       break;
     }
     ++stats.pairs_considered;
@@ -591,23 +505,11 @@ bool Search::GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
     Plan* j = ResolvePath(p->root.get(), pair_paths[k]);
     Plan* i_node =
         i_path.has_value() ? ResolvePath(p->root.get(), *i_path) : nullptr;
-    // Pruning uses two cuts with different strictness. Against the local
-    // best, >= is right: a candidate at or above it can never strictly
-    // improve, which is all this loop asks. Against the inherited bound the
-    // cut must be tie-permissive (strictly above, plus slack so rounding
-    // only loosens it): a candidate costing exactly `bound` has to
-    // complete, because callers — ultimately the root merge — distinguish
-    // equal-cost plans by fingerprint, and the no-prune search would have
-    // produced that tie candidate.
-    const double tie_slack =
-        bound < kInf ? 1e-9 * (std::abs(bound) + 1.0) : 0.0;
-    const double eff_bound = opt_.prune ? std::min(bound, best_cost) : kInf;
-
     // Move j upward until its parent join is i (Algorithm 2, steps 6-7).
     bool feasible = true;
     int chain = 0;
     while (ParentJoin(p->root.get(), j) != i_node) {
-      if (shared_->Exhausted()) {
+      if (Exhausted()) {
         feasible = false;
         break;
       }
@@ -616,7 +518,7 @@ bool Search::GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
       if (FaultInjector::ShouldFail(FaultPoint::kRewriteRule)) {
         // Simulated rewrite-rule failure: the swap is reported infeasible
         // (soft trigger — other decompositions may still complete).
-        shared_->Trip(BudgetTrigger::kRewriteFault, /*hard=*/false);
+        Trip(BudgetTrigger::kRewriteFault, /*hard=*/false);
       } else {
         bool sw_changed = false;
         risen = SwapUp(p->root, j, &p->ctx, &sw_changed);
@@ -646,37 +548,12 @@ bool Search::GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
                        : pair.s2;
     RelSet second = first == pair.s1 ? pair.s2 : pair.s1;
 
-    if (!GenerateSubplan(p, j_path, first, eff_bound)) continue;
+    if (!GenerateSubplan(p, j_path, first)) continue;
     dirty_key = key;  // a successful recursion rewrote the slot's subtree
-    double c1 = 0;
-    if (opt_.prune) {
-      // The cost model is additive with non-negative terms, so the first
-      // side's cost is a lower bound on the candidate's final cost.
-      c1 = SubtreeCost(*p, first);
-      if (c1 >= best_cost || c1 > bound + tie_slack) {
-        ++stats.prunes;
-        continue;
-      }
-    }
-    // Bound for the second side: what is left of eff_bound after paying
-    // c1, slackened by one epsilon so floating-point rounding can only
-    // loosen the pruning (never discard a would-be winner).
-    const double bound2 =
-        opt_.prune ? eff_bound - c1 + 1e-9 * (std::abs(eff_bound) + 1.0)
-                   : kInf;
-    if (!GenerateSubplan(p, j_path, second, bound2)) continue;
+    if (!GenerateSubplan(p, j_path, second)) continue;
 
     double cost = SubtreeCost(*p, s);
     if (!i_path.has_value()) ++stats.plans_completed;
-#ifndef NDEBUG
-    if (opt_.prune) {
-      // The pruning rule is sound only while child costs lower-bound the
-      // parent cost; verify the cost model still satisfies that.
-      ECA_CHECK(cost >= c1);
-      double c2 = SubtreeCost(*p, second);
-      ECA_CHECK(cost + 1e-6 * (std::abs(cost) + 1.0) >= c1 + c2);
-    }
-#endif
     if (cost < best_cost) {
       best_cost = cost;
       best_key = key;
@@ -694,11 +571,7 @@ bool Search::GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
     }
     *slot_of(best_key) = std::move(best_subtree);
     p->ctx = std::move(best_ctx);
-    // Cache only a best the bound did not constrain: under a finite bound,
-    // pruned candidates might have beaten this one for other callers.
-    if (opt_.reuse_subplans && best_cost < bound) {
-      StoreEntry(p, s, probe, best_cost);
-    }
+    if (opt_.reuse_subplans) StoreEntry(p, s, probe, best_cost);
     return true;
   }
   if (dirty_key >= 0) {
@@ -746,13 +619,10 @@ void PublishEnumeratorStats(const EnumeratorStats& s) {
   static Counter* const completed = reg.counter("enum.plans_completed");
   static Counter* const memo_hits = reg.counter("enum.memo_hits");
   static Counter* const memo_entries = reg.counter("enum.memo_entries");
-  static Counter* const prunes = reg.counter("enum.bb_prunes");
   static Counter* const cost_evals = reg.counter("enum.cost_evals");
-  static Counter* const cost_memo_hits = reg.counter("enum.cost_memo_hits");
   static Counter* const cloned = reg.counter("enum.cloned_nodes");
   static Counter* const guard = reg.counter("enum.swap_chain_guard_trips");
   static Counter* const collisions = reg.counter("enum.sig_collisions");
-  static Counter* const root_tasks = reg.counter("enum.root_tasks");
   static Counter* const degraded = reg.counter("enum.degraded_runs");
   subplan_calls->Add(s.subplan_calls);
   pairs->Add(s.pairs_considered);
@@ -761,13 +631,10 @@ void PublishEnumeratorStats(const EnumeratorStats& s) {
   completed->Add(s.plans_completed);
   memo_hits->Add(s.reuses);
   memo_entries->Add(s.cache_entries);
-  prunes->Add(s.prunes);
   cost_evals->Add(s.cost_evals);
-  cost_memo_hits->Add(s.cost_memo_hits);
   cloned->Add(s.cloned_nodes);
   guard->Add(s.swap_chain_guard_trips);
   collisions->Add(s.sig_collisions);
-  root_tasks->Add(s.root_tasks);
   if (s.degraded) degraded->Increment();
 }
 
@@ -781,7 +648,6 @@ TopDownEnumerator::Result TopDownEnumerator::Optimize(const Plan& query) {
     span.AppendArg("subplan_calls",
                    static_cast<long long>(result.stats.subplan_calls));
     span.AppendArg("memo_hits", static_cast<long long>(result.stats.reuses));
-    span.AppendArg("prunes", static_cast<long long>(result.stats.prunes));
     if (result.stats.degraded) {
       span.AppendArg("degraded", BudgetTriggerName(result.stats.trigger));
     }
@@ -790,74 +656,20 @@ TopDownEnumerator::Result TopDownEnumerator::Optimize(const Plan& query) {
 }
 
 TopDownEnumerator::Result TopDownEnumerator::OptimizeImpl(const Plan& query) {
-  SharedState shared;
-  shared.options = &options_;
-  shared.deadline_ms = options_.budget.wall_clock_ms > 0
-                           ? SteadyNowMs() + options_.budget.wall_clock_ms
-                           : 0;
+  const int64_t wall_clock_ms = options_.budget.wall_clock_ms;
+  const int64_t deadline_ms =
+      wall_clock_ms > 0 ? SteadyNowMs() + wall_clock_ms : 0;
 
   APlan init;
   init.root = query.Clone();
   SimplifyOuterJoins(init.root.get());
   init.ctx.policy = options_.policy;
 
-  RelSet all = init.root->leaves();
-
-  // Mirror the seed enumerator's top-level GenerateSubplan entry: the gate
-  // check, the call count, and the trivial single-relation return.
-  const bool root_live = !shared.Exhausted();
-  if (root_live) {
-    shared.subplan_calls.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  Result result;
-  if (root_live && all.Count() <= 1) {
-    result.plan = std::move(init.root);
-    result.cost = cost_->Cost(*result.plan);
-    result.stats.subplan_calls = 1;
-    return result;
-  }
-
-  std::vector<JoinablePair> pairs;
-  std::vector<NodePath> pair_paths;
-  if (root_live) {
-    pairs = JoinablePairs(init.root.get(), all);
-    pair_paths.resize(pairs.size());
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      bool found = PathTo(init.root.get(), pairs[k].node, &pair_paths[k]);
-      ECA_CHECK(found);
-    }
-  }
-
-  // ABLATION (Example 5.1): unsafe_ignore_dedges exists to demonstrate that
-  // reuse without the d-edge guard corrupts plans, and the demonstration
-  // needs the seed enumerator's semantics — one memo shared across every
-  // root pair (isolated per-pair memos leave too few unsound reuse
-  // opportunities to reliably misbehave). The mode runs sequentially with a
-  // shared interner and a purely task-local memo.
-  const bool share_memo = options_.unsafe_ignore_dedges;
-
-  // The shared memo: the caller's cross-query plan cache when provided,
-  // else a private per-query table (the tasks of this query still share
-  // it). Generation and epoch are captured once so every task keys its
-  // entries identically even if the owner advances the epoch mid-flight.
-  std::unique_ptr<SharedMemo> private_memo;
-  SharedMemo* memo = nullptr;
-  if (!share_memo && !pairs.empty()) {
-    memo = options_.shared_memo;
-    if (memo == nullptr) {
-      // Private tables sized to the query: entry counts grow roughly
-      // exponentially in the relation count, and over-allocating costs
-      // real time per query (first-touch page faults dominate small
-      // enumerations). Saturation only drops publishes, which is safe.
-      SharedMemo::Config cfg;
-      const int n = static_cast<int>(all.Count());
-      cfg.slot_count = size_t{1} << std::min(13, n + 3);
-      cfg.cost_slot_count = size_t{1} << std::min(15, n + 5);
-      private_memo = std::make_unique<SharedMemo>(cfg);
-      memo = private_memo.get();
-    }
-  }
+  // The caller's cross-query plan cache, if any. The unsafe_ignore_dedges
+  // ablation never touches it: its unsound entries must not outlive the
+  // demonstration, so it runs on the local memo alone.
+  SharedMemo* memo =
+      options_.unsafe_ignore_dedges ? nullptr : options_.shared_memo;
   struct MemoPin {
     SharedMemo* memo = nullptr;
     ~MemoPin() {
@@ -870,285 +682,37 @@ TopDownEnumerator::Result TopDownEnumerator::OptimizeImpl(const Plan& query) {
   if (memo != nullptr) {
     memo->Pin();
     pin.memo = memo;
+    // Generation and epoch are captured once so every entry is keyed
+    // identically even if the owner advances the epoch mid-flight.
     gen = memo->BeginQuery();
     epoch = memo->epoch();
     // Entries are keyed by the whole simplified query's fingerprint:
     // cross-query reuse happens only between structurally identical
     // queries, where a subplan's full surrounding context — and therefore
     // Theorem 5.4's external-d-edge reasoning — is known to transfer.
-    std::unordered_map<const Predicate*, uint64_t> fp_cache;
-    query_fp = PlanFingerprint(*init.root, &fp_cache);
+    query_fp = PlanFingerprint(*init.root);
   }
 
-  // One task per root joinable pair: its own clone of the initial plan,
-  // its own rewrite context and its own Search. Beyond the budget
-  // counters, tasks share only the SharedMemo — whose (gen, leader)
-  // visibility rule admits exactly the entries of completed earlier
-  // queries and of this query's leader — so every task computes the same
-  // result at any thread count and the merge is deterministic.
-  struct RootTask {
-    bool found = false;
-    PlanPtr plan;
-    double cost = kInf;
-    uint64_t fingerprint = 0;
-    EnumeratorStats stats;
-  };
-  std::vector<RootTask> tasks(pairs.size());
+  // The root is an ordinary relation set: its optimum is memoized like
+  // every other, so a repeated query against a warm cache is one probe.
+  const RelSet all = init.root->leaves();
+  Search search(cost_, options_, memo, all, query_fp, epoch, gen,
+                deadline_ms);
+  const bool found = search.GenerateSubplan(&init, std::nullopt, all);
+  search.Finish();
 
-  std::unique_ptr<Search> shared_search;
-  std::shared_ptr<PredNameInterner> shared_interner;
-  if (share_memo) {
-    shared_search =
-        std::make_unique<Search>(cost_, &shared, options_, nullptr,
-                                 /*query_fp=*/0, /*epoch=*/0,
-                                 /*gen=*/0, /*leader=*/false);
-    shared_interner = std::make_shared<PredNameInterner>();
-  }
-
-  // Leader/follower schedule (normal mode). The first few root pairs —
-  // the leader prefix — run sequentially at EVERY thread count, each
-  // publishing leader-visible memo entries and tightening the root bound
-  // for its successors; this seeds the shared memo with the densest reuse
-  // surface (it replaces the old wave-barrier absorb, without barriers).
-  // The remaining pairs — the followers — then run barrier-free: workers
-  // claim pair indices from an atomic cursor and publish into the shared
-  // memo as subplans are proven. Follower publishes stay invisible to
-  // sibling followers (the visibility rule above), so everything a task
-  // observes is a function of the query, the cache's pre-query content
-  // and the deterministic sequential prefix — never of sibling timing or
-  // thread count.
-  const int64_t total = static_cast<int64_t>(pairs.size());
-  constexpr int64_t kLeaderPrefix = 4;
-  const int64_t prefix = std::min(total, kLeaderPrefix);
-  auto leader_interner = std::make_shared<PredNameInterner>();
-  // The global best at root level. Tightened only between sequential
-  // prefix tasks, then FROZEN before any follower starts — never
-  // mid-flight: a moving bound would keep the chosen COST deterministic
-  // but not the chosen BYTES, because which equal-cost realization a task
-  // settles on depends on its bound trajectory. Candidates a tighter
-  // bound would have cut lose the deterministic root merge anyway.
-  std::atomic<double> root_bound{kInf};
-
-  auto run_pair = [&](int64_t k) {
-    RootTask& task = tasks[static_cast<size_t>(k)];
-    TraceSpan pair_span("root-pair");
-    if (pair_span.active()) pair_span.AppendArg("k", k);
-    if (shared.Exhausted()) return;
-    if (FaultInjector::ShouldFail(FaultPoint::kAllocation)) {
-      shared.Trip(BudgetTrigger::kAllocationFault, /*hard=*/true);
-      return;
-    }
-    const bool is_leader = !share_memo && k < prefix;
-    std::unique_ptr<Search> own_search;
-    if (!share_memo) {
-      own_search = std::make_unique<Search>(cost_, &shared, options_, memo,
-                                            query_fp, epoch, gen, is_leader);
-    }
-    Search& search = share_memo ? *shared_search : *own_search;
-    ++search.stats.pairs_considered;
-
-    APlan p;
-    p.root = init.root->Clone();
-    search.stats.cloned_nodes += CountNodes(p.root.get());
-    p.ctx.policy = options_.policy;
-    if (share_memo) {
-      p.ctx.interner = shared_interner;
-    } else if (is_leader) {
-      // Prefix tasks run sequentially and share one interner (append-only,
-      // single-threaded), so the fork the followers take below covers
-      // every name the whole prefix discovered.
-      p.ctx.interner = leader_interner;
-    } else {
-      // Fork the prefix's interner WITH its pointer cache: the follower
-      // works on clones of the same initial plan and Plan::Clone shares
-      // predicate objects, so the cached addresses stay valid and the
-      // fork skips re-rendering every display name — the dominant
-      // per-follower setup cost in profiles.
-      p.ctx.interner =
-          std::make_shared<PredNameInterner>(leader_interner->ForkWithPins());
-    }
-
-    const JoinablePair& pair = pairs[static_cast<size_t>(k)];
-    Plan* j = ResolvePath(p.root.get(), pair_paths[static_cast<size_t>(k)]);
-    bool feasible = true;
-    int chain = 0;
-    while (ParentJoin(p.root.get(), j) != nullptr) {
-      if (shared.Exhausted()) {
-        feasible = false;
-        break;
-      }
-      ++search.stats.swaps_attempted;
-      Plan* risen = nullptr;
-      if (FaultInjector::ShouldFail(FaultPoint::kRewriteRule)) {
-        shared.Trip(BudgetTrigger::kRewriteFault, /*hard=*/false);
-      } else {
-        risen = SwapUp(p.root, j, &p.ctx);
-      }
-      if (risen == nullptr) {
-        ++search.stats.swaps_failed;
-        feasible = false;
-        break;
-      }
-      j = risen;
-      if (++chain > options_.max_swap_chain) {
-        ++search.stats.swap_chain_guard_trips;
-        feasible = false;
-        break;
-      }
-    }
-    if (feasible) {
-      NodePath j_path;
-      if (PathTo(p.root.get(), j, &j_path)) {
-        RelSet left_set = j->left()->leaves();
-        RelSet first = left_set == pair.s1 || left_set.ContainsAll(pair.s1)
-                           ? pair.s1
-                           : pair.s2;
-        RelSet second = first == pair.s1 ? pair.s2 : pair.s1;
-        // Pair 0's bound is infinite, never the initial plan's cost: the
-        // enumerator returns its best completed plan even when that is
-        // worse than the query as written, and a tighter base bound would
-        // suppress exactly those plans. Later tasks are bounded by the
-        // best cost their deterministic predecessors achieved: a candidate
-        // at or above it cannot win the merge (equal-cost ties still
-        // complete — the additive cost model means the c1 cut only ever
-        // discards strictly worse plans), so the merged result is the same
-        // as with an infinite bound.
-        const double bound = k == 0 || share_memo || !options_.prune
-                                 ? kInf
-                                 : root_bound.load(std::memory_order_relaxed);
-        const double tie_slack =
-            bound < kInf ? 1e-9 * (std::abs(bound) + 1.0) : 0.0;
-        bool viable = search.GenerateSubplan(&p, j_path, first, bound);
-        double c1 = 0;
-        if (viable && bound < kInf) {
-          c1 = search.SubtreeCost(p, first);
-          // Tie-permissive, like the in-search cut: a plan tying the bound
-          // exactly must survive to the fingerprint tie-break.
-          if (c1 > bound + tie_slack) {
-            ++search.stats.prunes;
-            viable = false;
-          }
-        }
-        const double bound2 =
-            bound < kInf ? bound - c1 + 1e-9 * (std::abs(bound) + 1.0)
-                         : kInf;
-        if (viable && search.GenerateSubplan(&p, j_path, second, bound2)) {
-          task.cost = search.SubtreeCost(p, all);
-          ++search.stats.plans_completed;
-          task.fingerprint = search.Fingerprint(*p.root);
-          task.plan = std::move(p.root);
-          task.found = true;
-        }
-      }
-    }
-    if (!share_memo) {
-      search.FinishTask();
-      task.stats = std::move(search.stats);
-    }
-  };
-
-  int64_t leader_us = 0;
-  int64_t followers_us = 0;
-  if (!pairs.empty()) {
-    const int64_t t_start = WallNowUs();
-    {
-      TraceSpan leader_span("root-leader");
-      if (leader_span.active()) leader_span.AppendArg("pairs", prefix);
-      for (int64_t k = 0; k < prefix; ++k) {
-        run_pair(k);
-        if (!share_memo && tasks[static_cast<size_t>(k)].found &&
-            tasks[static_cast<size_t>(k)].cost <
-                root_bound.load(std::memory_order_relaxed)) {
-          root_bound.store(tasks[static_cast<size_t>(k)].cost,
-                           std::memory_order_relaxed);
-        }
-        if (shared.Exhausted()) break;
-      }
-    }
-    const int64_t t_leader = WallNowUs();
-    leader_us = t_leader - t_start;
-    if (total > prefix && !shared.Exhausted()) {
-      TraceSpan fan_span("root-followers");
-      if (fan_span.active()) fan_span.AppendArg("pairs", total - prefix);
-      const bool fan_out = options_.num_threads > 1 && !share_memo &&
-                           (options_.pool_spinup_us <= 0 ||
-                            leader_us >= options_.pool_spinup_us);
-      if (fan_out) {
-        // Barrier-free fan-out over a shared cursor: a slow pair never
-        // stalls the rest of the queue, and a tripped budget drains it
-        // immediately (each claimed pair re-checks Exhausted on entry).
-        ThreadPool pool(options_.num_threads);
-        std::atomic<int64_t> next{prefix};
-        pool.RunOnWorkers([&](int) {
-          for (;;) {
-            const int64_t k = next.fetch_add(1, std::memory_order_relaxed);
-            if (k >= total) return;
-            run_pair(k);
-          }
-        });
-      } else {
-        for (int64_t k = prefix; k < total; ++k) run_pair(k);
-      }
-    }
-    followers_us = WallNowUs() - t_leader;
-  }
-
-  // Deterministic merge, independent of completion order: lowest cost wins;
-  // equal costs tie-break on the structural fingerprint; remaining ties
-  // keep the lowest pair index.
-  int best_k = -1;
-  for (int k = 0; k < static_cast<int>(tasks.size()); ++k) {
-    const RootTask& t = tasks[static_cast<size_t>(k)];
-    if (!t.found) continue;
-    if (best_k < 0 || t.cost < tasks[static_cast<size_t>(best_k)].cost ||
-        (t.cost == tasks[static_cast<size_t>(best_k)].cost &&
-         t.fingerprint < tasks[static_cast<size_t>(best_k)].fingerprint)) {
-      best_k = k;
-    }
-  }
-
-  EnumeratorStats stats;
-  stats.subplan_calls = shared.subplan_calls.load(std::memory_order_relaxed);
-  stats.cache_entries = shared.cache_entries.load(std::memory_order_relaxed);
-  stats.root_tasks = static_cast<int64_t>(tasks.size());
-  stats.phase_leader_us = leader_us;
-  stats.phase_followers_us = followers_us;
-  auto accumulate = [&stats](const EnumeratorStats& t) {
-    stats.pairs_considered += t.pairs_considered;
-    stats.swaps_attempted += t.swaps_attempted;
-    stats.swaps_failed += t.swaps_failed;
-    stats.plans_completed += t.plans_completed;
-    stats.reuses += t.reuses;
-    stats.prunes += t.prunes;
-    stats.cost_evals += t.cost_evals;
-    stats.cost_memo_hits += t.cost_memo_hits;
-    stats.cloned_nodes += t.cloned_nodes;
-    stats.swap_chain_guard_trips += t.swap_chain_guard_trips;
-    stats.sig_collisions += t.sig_collisions;
-  };
-  for (const RootTask& t : tasks) accumulate(t.stats);
-  if (shared_search != nullptr) {
-    shared_search->FinishTask();
-    accumulate(shared_search->stats);
-  }
-  {
-    std::lock_guard<std::mutex> lock(shared.trip_mu);
-    stats.degraded = shared.degraded;
-    stats.trigger = shared.trigger;
-  }
-  result.stats = stats;
-
-  if (best_k < 0) {
+  Result result;
+  result.stats = search.stats;
+  if (found) {
+    result.plan = std::move(init.root);
+  } else {
     // No complete plan: either no feasible reordering exists at the top
-    // (single-relation queries, fully blocked swaps) or the budget ran
-    // out before one was found. Fall back to the query as written —
-    // always executable and trivially correct.
+    // (fully blocked swaps) or the budget ran out before one was found.
+    // Fall back to the query as written — always executable and
+    // trivially correct.
     result.stats.no_complete_plan = true;
     result.plan = query.Clone();
-    result.cost = cost_->Cost(*result.plan);
-    return result;
   }
-  result.plan = std::move(tasks[static_cast<size_t>(best_k)].plan);
   result.cost = cost_->Cost(*result.plan);
   return result;
 }

@@ -63,43 +63,21 @@ struct EnumeratorOptions {
   // bench_ablation_dedges and the corresponding test to demonstrate that
   // naive reuse produces plans that are NOT equivalent to the query.
   bool unsafe_ignore_dedges = false;
-  // Branch-and-bound: prune a decomposition as soon as the already-fixed
-  // part of the subtree costs at least the best complete alternative. Never
-  // changes the selected plan (the cost model is additive, so a partial
-  // cost is a lower bound; see docs/performance.md for the exactness
-  // argument). Off = the plain exhaustive loop, kept for A/B checks.
-  bool prune = true;
-  // Memoize subtree costs by structural fingerprint (PlanFingerprint), so
-  // the repeated costings of identical subtrees during the pair loop and
-  // branch-and-bound checks hit a hash map instead of the cost model.
-  bool cost_memo = true;
-  // Worker threads for the top-level joinable-pair loop. The chosen plan is
-  // byte-identical for every value (each root pair is searched as an
-  // isolated task; results merge deterministically).
-  int num_threads = 1;
   // Cycle guard: maximum SwapUp chain length while positioning one join.
   // Exceeding it abandons the decomposition and increments
   // EnumeratorStats::swap_chain_guard_trips.
   int max_swap_chain = 128;
-  // Spin up the worker pool for the follower pairs only when the
-  // sequential leader prefix took at least this long — queries that finish
-  // in a millisecond cannot amortize thread creation. The chosen plan is
-  // identical either way (scheduling never affects plan bytes); <= 0
-  // always fans out when num_threads > 1 (used by stress tests to force
-  // real concurrency).
-  int64_t pool_spinup_us = 1500;
   // TESTING ONLY: degrade every memo signature to a single value so that
   // distinct ext-d-edge key vectors collide in one bucket — exercises the
   // stored-full-key verification that keeps 64-bit collisions sound.
   bool collide_signatures = false;
-  // Cross-query plan cache (enumerate/shared_memo.h). When set, proven
-  // subplans are published into / probed from this table, so a repeated
-  // structurally-identical query under the same stats epoch reuses them
-  // instead of re-enumerating. When null, Optimize uses a private
-  // per-query table (the tasks of one query still share it). The caller
-  // owns the memo and must keep it alive across the call; Optimize pins
-  // it for the duration of the enumeration. Ignored (forced private
-  // semantics) under unsafe_ignore_dedges.
+  // Cross-query plan cache (enumerate/shared_memo.h). When set, the
+  // chosen plan of every undegraded search is published into this table,
+  // and a repeated structurally-identical query under the same stats
+  // epoch grafts it instead of re-enumerating. The subplan memo itself
+  // lives and dies with the Optimize call. The caller owns the memo
+  // and must keep it alive across the call; Optimize pins it for the
+  // duration of the enumeration. Ignored under unsafe_ignore_dedges.
   SharedMemo* shared_memo = nullptr;
   // Resource limits; default unlimited (exhaustive enumeration).
   EnumeratorBudget budget;
@@ -113,13 +91,11 @@ struct EnumeratorStats {
   int64_t plans_completed = 0;  // complete plans costed at the top level
   int64_t reuses = 0;
   int64_t cache_entries = 0;
-  // Decompositions abandoned by branch-and-bound (fixed part already
-  // costed at least the best complete alternative).
+  // Always 0: the search is exhaustive and never prunes. Kept because
+  // external benchmark drivers read it.
   int64_t prunes = 0;
-  // Full cost-model evaluations vs. subtree-fingerprint memo hits; their
-  // sum is what the seed enumerator paid on every SubtreeCost call.
+  // Cost-model evaluations of a subtree.
   int64_t cost_evals = 0;
-  int64_t cost_memo_hits = 0;
   // Plan nodes deep-copied by the search (snapshot/restore/graft clones).
   // Together with cost_evals this is the "work" measure the perf bench
   // tracks (BENCH_enum.json).
@@ -130,13 +106,6 @@ struct EnumeratorStats {
   // did not — rejected grafts that a signature-only memo would have
   // performed unsoundly.
   int64_t sig_collisions = 0;
-  // Root-level joinable pairs searched as (potentially parallel) tasks.
-  int64_t root_tasks = 0;
-  // Phase timing breakdown (bench_enumerator_perf): the sequential leader
-  // pass over root pair 0, and the barrier-free follower pass over the
-  // remaining pairs. Wall-clock microseconds, informational only.
-  int64_t phase_leader_us = 0;
-  int64_t phase_followers_us = 0;
   // True when the search was cut short (budget or injected fault): the
   // returned plan is correct but possibly not the enumeration optimum.
   bool degraded = false;
@@ -157,12 +126,14 @@ struct EnumeratorStats {
 // selected by estimated cost; in enhanced mode optimal subplans are reused
 // across contexts when their external dependency edges match (Theorem 5.4).
 //
-// The search is clone-light (per-decomposition state is snapshot/restored
-// in place of whole-plan deep copies), memoized ((relation set, 64-bit
-// ext-d-edge signature) -> optimal subtree, with the full key stored for
-// collision verification), branch-and-bound pruned, and parallel across
-// root-level joinable pairs — all while selecting the same plan the plain
-// exhaustive loop selects (docs/performance.md, bench_enumerator_perf).
+// The search is one sequential, exhaustive GenerateSubplan recursion, as
+// in the paper. It is clone-light (per-decomposition state is
+// snapshot/restored in place of whole-plan deep copies) and memoized
+// ((relation set, 64-bit ext-d-edge signature) -> optimal subtree, with
+// the full key stored for collision verification; the root is memoized
+// like every other relation set). It selects a plan with exactly the
+// reference enumerator's cost (docs/performance.md,
+// bench_enumerator_perf).
 class TopDownEnumerator {
  public:
   TopDownEnumerator(const CostModel* cost_model, EnumeratorOptions options)

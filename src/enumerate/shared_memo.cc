@@ -18,8 +18,6 @@ struct MemoCounters {
   Counter* probes;
   Counter* hits;
   Counter* sig_collisions;
-  Counter* cost_probes;
-  Counter* cost_hits;
   Counter* publishes;
   Counter* duplicate_publishes;
   Counter* full_rejects;
@@ -36,8 +34,6 @@ const MemoCounters& Counters() {
     return MemoCounters{reg.counter("memo.probes"),
                         reg.counter("memo.hits"),
                         reg.counter("memo.sig_collisions"),
-                        reg.counter("memo.cost_probes"),
-                        reg.counter("memo.cost_hits"),
                         reg.counter("memo.publishes"),
                         reg.counter("memo.duplicate_publishes"),
                         reg.counter("memo.full_rejects"),
@@ -58,18 +54,15 @@ bool SameFullKey(const MemoPayload& x, const MemoPayload& y) {
 }
 
 bool ProbeMatches(const MemoProbe& probe, const MemoPayload& p) {
-  if (p.epoch != probe.epoch || p.policy != probe.policy ||
-      p.query_fp != probe.query_fp || !(p.s == probe.s)) {
-    return false;
-  }
-  return probe.ignore_ext || p.ext_keys == *probe.ext_keys;
+  return p.epoch == probe.epoch && p.policy == probe.policy &&
+         p.query_fp == probe.query_fp && p.s == probe.s &&
+         p.ext_keys == *probe.ext_keys;
 }
 
 }  // namespace
 
 SharedMemo::SharedMemo(const Config& config)
     : table_(config.slot_count),
-      cost_table_(config.cost_slot_count),
       max_bytes_(config.max_bytes) {
   if (config.parent != nullptr) {
     // Accounting-only child: the service's admission ledger reserves the
@@ -94,14 +87,11 @@ const MemoPayload* SharedMemo::Find(const MemoProbe& probe, uint64_t gen,
   stats->probes++;
   MemoNode* best_node = nullptr;
   const MemoPayload* best = nullptr;
-  MemoNode* oldest_s = nullptr;  // ablation: first-stored s-match
   for (MemoNode* n = table_.Find(probe.map_key); n != nullptr;
        n = n->next.load(std::memory_order_acquire)) {
-    // Determinism-critical visibility: earlier completed generations and
-    // this generation's leader only. A task's own entries live in its
-    // task-local map, so sibling-task timing can never change what a
-    // probe observes (see the class comment).
-    if (!(n->gen < gen || (n->gen == gen && n->leader))) continue;
+    // Visibility: entries of queries that began after this one are
+    // skipped (see the class comment).
+    if (n->gen > gen) continue;
     const MemoPayload& p = *n->payload;
     if (!ProbeMatches(probe, p)) {
       // Same map key, different full key: hash collision (forced by the
@@ -112,30 +102,11 @@ const MemoPayload* SharedMemo::Find(const MemoProbe& probe, uint64_t gen,
       }
       continue;
     }
-    if (probe.ignore_ext) {
-      oldest_s = n;  // chain is newest-first; the last match is oldest
-      continue;
-    }
     // `<=` walking newest-to-oldest leaves the OLDEST minimum as winner,
     // reproducing the sequential first-stored-wins tie order.
     if (best == nullptr || p.cost <= best->cost) {
       best = &p;
       best_node = n;
-    }
-  }
-  if (probe.ignore_ext && oldest_s != nullptr) {
-    // Emulate the sequential ablation exactly: the first-stored s-match
-    // wins, updated in place whenever a cheaper entry with its exact key
-    // was stored later.
-    for (MemoNode* n = table_.Find(probe.map_key); n != nullptr;
-         n = n->next.load(std::memory_order_acquire)) {
-      if (!(n->gen < gen || (n->gen == gen && n->leader))) continue;
-      const MemoPayload& p = *n->payload;
-      if (!SameFullKey(p, *oldest_s->payload)) continue;
-      if (best == nullptr || p.cost <= best->cost) {
-        best = &p;
-        best_node = n;
-      }
     }
   }
   if (best != nullptr) {
@@ -147,7 +118,7 @@ const MemoPayload* SharedMemo::Find(const MemoProbe& probe, uint64_t gen,
 
 MemoPublishResult SharedMemo::Publish(
     uint64_t map_key, std::shared_ptr<const MemoPayload> payload,
-    uint64_t gen, bool leader) {
+    uint64_t gen) {
   const MemoPayload& pl = *payload;
   if (max_bytes_ > 0 &&
       used_bytes_.load(std::memory_order_relaxed) + pl.bytes > max_bytes_) {
@@ -194,7 +165,6 @@ MemoPublishResult SharedMemo::Publish(
       }
       node = new MemoNode;
       node->gen = gen;
-      node->leader = leader;
       node->last_used.store(gen, std::memory_order_relaxed);
       node->payload = std::move(payload);
     }
@@ -249,7 +219,7 @@ MemoPublishResult SharedMemo::Import(
     uint64_t map_key, std::shared_ptr<const MemoPayload> payload) {
   Pin();
   MemoPublishResult result =
-      Publish(map_key, std::move(payload), /*gen=*/0, /*leader=*/false);
+      Publish(map_key, std::move(payload), /*gen=*/0);
   Unpin();
   return result;
 }
@@ -259,8 +229,6 @@ void SharedMemo::AccumulateProbeStats(const MemoProbeStats& stats) {
   c.probes->Add(stats.probes);
   c.hits->Add(stats.hits);
   c.sig_collisions->Add(stats.sig_collisions);
-  c.cost_probes->Add(stats.cost_probes);
-  c.cost_hits->Add(stats.cost_hits);
 }
 
 void SharedMemo::ReleaseNode(MemoNode* node) {
@@ -306,9 +274,6 @@ void SharedMemo::RebuildLocked(Keep&& keep) {
     ECA_DCHECK(head != nullptr);
     head->store(rebuilt_head, std::memory_order_relaxed);
   }
-  // Stale cost entries are keyed by dead epochs; recomputing the few
-  // evicted live ones is cheaper than tracking them individually.
-  cost_table_.ResetExclusive();
 }
 
 void SharedMemo::Sweep() {

@@ -52,12 +52,10 @@ struct MemoDEdge {
   int vnode = 0;
 };
 
-// An immutable proven-optimal subplan entry. Entries store true optima
-// for their (relation set, external-edge set) — the enumerator only
-// publishes when the bounded search completed below its bound, which by
-// the additive-cost cut argument means no better realization exists — so
-// a value is a pure function of its full key and publishing is
-// order-independent.
+// An immutable proven-optimal plan entry. Entries store true optima for
+// their (relation set, external-edge set) — the enumerator publishes only
+// the winner of an exhaustive, undegraded search — so a value is a pure
+// function of its full key and publishing is order-independent.
 struct MemoPayload {
   // Full key, verified exactly on probe (the map key is only a hash).
   uint64_t query_fp = 0;  // fingerprint of the whole simplified query
@@ -77,8 +75,7 @@ struct MemoPayload {
 // Chain node: immutable after publish except for the LRU stamp.
 struct MemoNode {
   std::atomic<MemoNode*> next{nullptr};
-  uint64_t gen = 0;    // generation (BeginQuery tick) that published it
-  bool leader = false;  // published by the generation's leader task
+  uint64_t gen = 0;  // generation (BeginQuery tick) that published it
   std::atomic<uint64_t> last_used{0};  // generation of the last hit (LRU)
   std::shared_ptr<const MemoPayload> payload;
 };
@@ -91,10 +88,6 @@ struct MemoProbe {
   int policy = 0;
   uint64_t epoch = 0;
   const std::vector<MemoExtKey>* ext_keys = nullptr;
-  // unsafe_ignore_dedges ablation: match on `s` alone, ignoring the
-  // external signature (deliberately unsound, kept for the paper's
-  // Theorem 5.4 counterexamples).
-  bool ignore_ext = false;
 };
 
 enum class MemoPublishResult {
@@ -115,46 +108,35 @@ struct MemoExportEntry {
   std::shared_ptr<const MemoPayload> payload;
 };
 
-// Per-enumeration probe counters, accumulated locally by each search task
-// and folded into the memo.* metrics once per task (per-probe global
-// atomics would put contention right back on the lock-free read path).
+// Per-enumeration probe counters, accumulated locally by each search and
+// folded into the memo.* metrics once per search (per-probe global
+// atomics would put contention on the read path that concurrent queries
+// share).
 struct MemoProbeStats {
   int64_t probes = 0;
   int64_t hits = 0;
   int64_t sig_collisions = 0;
-  int64_t cost_probes = 0;
-  int64_t cost_hits = 0;
 };
 
-// Concurrent, fingerprint-keyed memo of proven-optimal subplans, shared
-// by the enumeration tasks of one query and — when owned by the service —
-// across queries as a plan cache (docs/performance.md, "Shared memo &
-// plan cache").
+// Concurrent, fingerprint-keyed memo of proven-optimal plans, shared
+// across queries as the service's plan cache (docs/performance.md,
+// "Shared memo & plan cache").
 //
-// Thread model: Pin() once per enumeration, then Find/Publish/Cost* are
-// lock-free; Sweep/Clear take the exclusive side of the gate and may
+// Thread model: Pin() once per enumeration, then Find/Publish are
+// lock-free, so concurrent queries probe and publish without blocking
+// each other; Sweep/Clear take the exclusive side of the gate and may
 // rebuild the table wholesale. BeginQuery hands out a monotonic
-// generation used for the determinism-critical visibility rule:
-//
-//   a node is visible to a probe of generation G iff
-//     node.gen < G            (published by a completed earlier query), or
-//     node.gen == G && leader (published by this query's leader task).
-//
-// Follower tasks keep their own publishes in task-local maps (always
-// visible to themselves), so what any task can observe is a function of
-// the cache's pre-query content, the leader's deterministic sequential
-// run, and the task's own work — never of sibling-task timing. That is
-// the whole byte-identical-at-any-thread-count argument; the chain walk
-// resolves equal-cost ties toward the oldest visible entry, which
-// reproduces the sequential first-stored-wins order.
+// generation: a node is visible to a probe of generation G iff
+// node.gen <= G, so a query never sees entries of a query that began
+// after it. The chain walk resolves equal-cost ties toward the oldest
+// visible entry, which reproduces the sequential first-stored-wins
+// order.
 class SharedMemo {
  public:
   struct Config {
-    size_t slot_count = 1 << 13;       // chain-table slots (rounded up)
-    size_t cost_slot_count = 1 << 13;  // cost-table slots (rounded up)
-    // Byte budget for cached entries; 0 means unlimited (per-query
-    // private memos). Publishes beyond the budget are rejected until the
-    // next Sweep.
+    size_t slot_count = 1 << 13;  // chain-table slots (rounded up)
+    // Byte budget for cached entries; 0 means unlimited. Publishes beyond
+    // the budget are rejected until the next Sweep.
     int64_t max_bytes = 0;
     // When set, entry bytes are charged to a child of this tracker (the
     // service points it at the global root).
@@ -193,23 +175,13 @@ class SharedMemo {
   const MemoPayload* Find(const MemoProbe& probe, uint64_t gen,
                           MemoProbeStats* stats);
 
-  // Publishes an entry; requires a pin. `gen`/`leader` tag visibility as
+  // Publishes an entry; requires a pin. `gen` tags visibility as
   // described above. Rejections are safe (they can only cost rework).
   MemoPublishResult Publish(uint64_t map_key,
                             std::shared_ptr<const MemoPayload> payload,
-                            uint64_t gen, bool leader);
+                            uint64_t gen);
 
-  // Shared subtree-cost memo, keyed by FpMix(plan fingerprint, epoch).
-  // Costs are a pure function of the key, so cross-task sharing cannot
-  // perturb results. Requires a pin.
-  bool CostLookup(uint64_t key, double* value) {
-    return cost_table_.Lookup(key, value);
-  }
-  void CostPublish(uint64_t key, double value) {
-    cost_table_.Publish(key, value);
-  }
-
-  // Folds one task's local probe counters into the memo.* metrics.
+  // Folds one search's local probe counters into the memo.* metrics.
   void AccumulateProbeStats(const MemoProbeStats& stats);
 
   // Persistence (docs/robustness.md, "Crash safety & persistence").
@@ -222,8 +194,8 @@ class SharedMemo {
   // (map_key, chain depth oldest-first).
   std::vector<MemoExportEntry> ExportEntries(uint64_t min_gen = 0);
 
-  // Files a deserialized entry back in at generation 0 / non-leader, which
-  // the visibility rule (gen < G for every BeginQuery generation G >= 1)
+  // Files a deserialized entry back in at generation 0, which the
+  // visibility rule (gen <= G for every BeginQuery generation G >= 1)
   // makes visible to all future queries — and which a min_gen >= 1 export
   // never re-exports, so append logs don't accrete duplicates. Duplicate
   // or more-expensive entries dedup exactly like live publishes. Pins
@@ -258,7 +230,6 @@ class SharedMemo {
 
   ReaderGate gate_;
   ConcurrentChainTable<MemoNode> table_;
-  ConcurrentCostTable cost_table_;
   const int64_t max_bytes_;
   std::unique_ptr<MemoryTracker> tracker_;  // child of config.parent
   std::atomic<uint64_t> gen_{0};

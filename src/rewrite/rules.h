@@ -22,8 +22,7 @@ namespace eca {
 // vectors instead of string sets. Ids are local to one interner; the
 // per-name 64-bit hash is canonical (it depends only on the name), so
 // signatures derived from hashes compare across interners — that is what
-// lets parallel enumeration tasks with independently-grown interners share
-// one memo.
+// lets queries with independently-grown interners share one plan cache.
 class PredNameInterner {
  public:
   // Id 0 is always the "cross" pseudo-name (a join with no predicate).
@@ -57,31 +56,6 @@ class PredNameInterner {
   const std::string& NameOf(int id) const { return names_[id]; }
   uint64_t HashOf(int id) const { return hashes_[id]; }
   int size() const { return static_cast<int>(names_.size()); }
-
-  // A copy for an independent unit of work. Shares no mutable state with
-  // the original; ids assigned so far are preserved (so int-keyed data
-  // derived from this interner stays comparable), the pointer cache is
-  // dropped along with its pins.
-  PredNameInterner Fork() const {
-    PredNameInterner f;
-    f.by_name_ = by_name_;
-    f.names_ = names_;
-    f.hashes_ = hashes_;
-    return f;
-  }
-
-  // Fork that also copies the pointer cache (and its pins). Valid when
-  // the forker works on clones of the plans the source interner has seen:
-  // Plan::Clone shares PredRef objects, so the cached addresses keep
-  // naming the same live predicates and the fork skips re-rendering every
-  // DisplayName from scratch — the dominant per-task setup cost in the
-  // parallel enumerator's follower tasks.
-  PredNameInterner ForkWithPins() const {
-    PredNameInterner f = Fork();
-    f.by_ptr_ = by_ptr_;
-    f.pins_ = pins_;
-    return f;
-  }
 
   // Canonical 64-bit name hash (FNV-1a); stable across interners.
   static uint64_t NameHash(const std::string& name) {

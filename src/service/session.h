@@ -54,7 +54,7 @@ struct ServiceOptions {
   // Spill root shared by all queries (each gets its own crash-sweepable
   // subdirectory via QueryContext); "" = system temp dir.
   std::string spill_dir;
-  // Worker threads per query (execution + root enumeration).
+  // Worker threads per query, for execution (planning is sequential).
   int num_threads = 1;
   // Default plan policy for queries that send no "policy" field (ecad
   // --policy; docs/planner-policies.md). A request-level "policy" field

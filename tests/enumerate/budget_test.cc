@@ -128,35 +128,34 @@ TEST(BudgetTest, WallClockDeadlineDegrades) {
 
 // Deterministic wall-clock degradation via the fault clock: every NowMs
 // observation advances fake time 1ms, so the deadline trips after a fixed
-// number of budget checks — no sleeping, no flakiness. The deadline is
-// observed both inside root tasks and at the wave barriers of the
-// parallel schedule, so every thread count must degrade to a valid plan:
-// kWallClock when a complete best-so-far plan survived the deadline,
-// kSizesOnlyFallback when none did and the sizes-only reroute produced
-// the order instead.
-TEST(BudgetTest, FaultClockDeadlineDegradesAtEveryThreadCount) {
+// number of budget checks — no sleeping, no flakiness. Different deadlines
+// trip at different depths of the search (inside the root's first
+// decomposition, or after some root decompositions completed), and every
+// one must degrade to a valid plan: kWallClock when a complete
+// best-so-far plan survived the deadline, kSizesOnlyFallback when none
+// did and the sizes-only reroute produced the order instead.
+TEST(BudgetTest, FaultClockDeadlineDegradesAtEveryDepth) {
   Fixture f = MakeFixture(5, 6);
   Relation direct = Optimizer().Execute(*f.query, f.db);
-  for (int threads : {1, 2, 4}) {
+  for (int64_t deadline_ms : {2, 10, 40, 120}) {
     Optimizer::Options opts;
-    opts.num_threads = threads;
-    opts.budget.wall_clock_ms = 40;
+    opts.budget.wall_clock_ms = deadline_ms;
     Optimizer opt(opts);
     Optimizer::Optimized best;
     {
       ScopedFaultClock clock(/*now_ms=*/1000, /*step_ms=*/1);
       best = opt.Optimize(*f.query, f.db);
     }
-    ASSERT_NE(best.plan, nullptr) << "threads " << threads;
-    EXPECT_TRUE(best.stats.degraded) << "threads " << threads;
+    ASSERT_NE(best.plan, nullptr) << "deadline " << deadline_ms;
+    EXPECT_TRUE(best.stats.degraded) << "deadline " << deadline_ms;
     EXPECT_TRUE(best.stats.trigger == BudgetTrigger::kWallClock ||
                 best.stats.trigger == BudgetTrigger::kSizesOnlyFallback)
-        << "threads " << threads << " trigger "
+        << "deadline " << deadline_ms << " trigger "
         << BudgetTriggerName(best.stats.trigger);
     Relation timed = opt.Execute(*best.plan, f.db);
     ExpectSameRelation(direct, timed,
-                       "fault-clock deadline, threads " +
-                           std::to_string(threads));
+                       "fault-clock deadline " +
+                           std::to_string(deadline_ms) + "ms");
   }
 }
 

@@ -1,15 +1,15 @@
-// Tests for the enumerator fast paths: the swap-chain cycle guard, the
-// hashed (fingerprinted) memo with stored-full-key collision verification,
-// branch-and-bound pruning, the subtree cost memo, and parallel root
-// enumeration. The unifying contract: none of them may change the chosen
-// plan — the fast search returns exactly what the plain exhaustive loop
-// returns, at any thread count.
+// Tests for the enumerator's search machinery: the swap-chain cycle guard,
+// the hashed (fingerprinted) memo with stored-full-key collision
+// verification, and the cross-query plan cache. The unifying contract:
+// none of them may change the chosen plan's cost — the search returns
+// exactly what the plain exhaustive loop returns.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "enumerate/enumerator.h"
+#include "enumerate/shared_memo.h"
 #include "exec/executor.h"
 #include "testing/random_data.h"
 #include "testing/random_query.h"
@@ -126,8 +126,11 @@ TEST(EnumFastPathTest, ForcedSignatureCollisionsRejectedByFullKey) {
   EXPECT_GT(collisions, 0);
 }
 
-TEST(EnumFastPathTest, ParallelRootEnumerationIsByteIdentical) {
-  bool saw_parallel_work = false;
+TEST(EnumFastPathTest, ColdPlanCacheIsByteIdentical) {
+  // Publishing into and probing a cross-query SharedMemo must not change
+  // what a cold search picks: with nothing cached yet, every probe falls
+  // through to the local memo and the chosen plan is byte-identical.
+  bool saw_multi_pair_root = false;
   for (int seed = 0; seed < 20; ++seed) {
     Rng rng(static_cast<uint64_t>(seed) * 97 + 5);
     RandomDataOptions dopts;
@@ -137,29 +140,62 @@ TEST(EnumFastPathTest, ParallelRootEnumerationIsByteIdentical) {
     PlanPtr query = RandomQuery(rng, qopts, dopts);
     CostModel cost = CostModel::FromDatabase(db);
 
-    EnumeratorOptions sequential;
-    TopDownEnumerator s(&cost, sequential);
+    EnumeratorOptions private_memo;
+    TopDownEnumerator s(&cost, private_memo);
     auto base = s.Optimize(*query);
     ASSERT_NE(base.plan, nullptr);
-    if (base.stats.root_tasks > 1) saw_parallel_work = true;
+    if (base.stats.plans_completed > 1) saw_multi_pair_root = true;
 
-    for (int threads : {2, 4}) {
-      EnumeratorOptions parallel = sequential;
-      parallel.num_threads = threads;
-      TopDownEnumerator p(&cost, parallel);
-      auto result = p.Optimize(*query);
-      ASSERT_NE(result.plan, nullptr);
-      EXPECT_EQ(result.cost, base.cost)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(result.plan->ToString(), base.plan->ToString())
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(PlanFingerprint(*result.plan), PlanFingerprint(*base.plan))
-          << "seed " << seed << " threads " << threads;
-    }
+    SharedMemo cache;
+    EnumeratorOptions cached = private_memo;
+    cached.shared_memo = &cache;
+    TopDownEnumerator c(&cost, cached);
+    auto result = c.Optimize(*query);
+    ASSERT_NE(result.plan, nullptr);
+    EXPECT_EQ(result.cost, base.cost) << "seed " << seed;
+    EXPECT_EQ(result.plan->ToString(), base.plan->ToString())
+        << "seed " << seed;
+    EXPECT_EQ(PlanFingerprint(*result.plan), PlanFingerprint(*base.plan))
+        << "seed " << seed;
+    EXPECT_EQ(result.stats.subplan_calls, base.stats.subplan_calls)
+        << "seed " << seed;
   }
-  // The sweep must actually exercise multi-pair roots, or the checks above
-  // prove nothing about the merge.
-  EXPECT_TRUE(saw_parallel_work);
+  // The sweep must actually exercise roots with several completed
+  // decompositions, or the checks above prove little about the root loop.
+  EXPECT_TRUE(saw_multi_pair_root);
+}
+
+TEST(EnumFastPathTest, WarmPlanCacheRepeatIsOneProbe) {
+  // The root is memoized like every other relation set, so repeating a
+  // query against a warm cache is a single probe that grafts the whole
+  // cached plan: one GenerateSubplan call, one reuse, the same cost.
+  for (int seed = 0; seed < 10; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) * 53 + 11);
+    RandomDataOptions dopts;
+    RandomQueryOptions qopts;
+    qopts.num_rels = 4 + seed % 3;
+    Database db = RandomDatabase(rng, qopts.num_rels, dopts);
+    PlanPtr query = RandomQuery(rng, qopts, dopts);
+    CostModel cost = CostModel::FromDatabase(db);
+
+    SharedMemo cache;
+    EnumeratorOptions opts;
+    opts.shared_memo = &cache;
+    TopDownEnumerator e(&cost, opts);
+    auto cold = e.Optimize(*query);
+    ASSERT_NE(cold.plan, nullptr);
+    ASSERT_FALSE(cold.stats.no_complete_plan) << "seed " << seed;
+    EXPECT_GT(cold.stats.subplan_calls, 1) << "seed " << seed;
+
+    auto warm = e.Optimize(*query);
+    ASSERT_NE(warm.plan, nullptr);
+    EXPECT_EQ(warm.cost, cold.cost) << "seed " << seed;
+    EXPECT_EQ(warm.stats.subplan_calls, 1) << "seed " << seed;
+    EXPECT_EQ(warm.stats.reuses, 1) << "seed " << seed;
+    EXPECT_FALSE(warm.stats.degraded) << "seed " << seed;
+    ExpectPlansEquivalent(*query, *warm.plan, db,
+                          "warm repeat seed " + std::to_string(seed));
+  }
 }
 
 }  // namespace

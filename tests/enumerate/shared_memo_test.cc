@@ -1,7 +1,7 @@
 // SharedMemo unit and concurrency tests (enumerate/shared_memo.h): the
 // published-entry lifecycle the cross-query plan cache depends on —
 // full-key verification under forced map-key collisions, the
-// (generation, leader) visibility rule, epoch invalidation, LRU
+// generation visibility rule, epoch invalidation, LRU
 // eviction, and MemoryTracker balance. The multi-thread stresses run
 // under the TSan CI lane; every one has a deterministic final state
 // (the cheapest published cost wins a probe regardless of publish
@@ -66,7 +66,7 @@ TEST(SharedMemoTest, PublishFindRoundTrip) {
   SharedMemo memo;
   memo.Pin();
   auto payload = MakePayload(RelSet::Single(1), 10.0);
-  EXPECT_EQ(memo.Publish(7, payload, /*gen=*/1, /*leader=*/false),
+  EXPECT_EQ(memo.Publish(7, payload, /*gen=*/1),
             MemoPublishResult::kStoredNew);
   MemoProbeStats stats;
   // Visible to a later generation...
@@ -80,22 +80,17 @@ TEST(SharedMemoTest, PublishFindRoundTrip) {
   memo.Unpin();
 }
 
-TEST(SharedMemoTest, VisibilityRuleGenAndLeader) {
+TEST(SharedMemoTest, VisibilityRuleByGeneration) {
   SharedMemo memo;
   memo.Pin();
-  auto follower = MakePayload(RelSet::Single(1), 10.0);
-  auto leader = MakePayload(RelSet::Single(2), 20.0);
-  memo.Publish(1, follower, /*gen=*/2, /*leader=*/false);
-  memo.Publish(2, leader, /*gen=*/2, /*leader=*/true);
+  auto payload = MakePayload(RelSet::Single(1), 10.0);
+  memo.Publish(1, payload, /*gen=*/2);
   MemoProbeStats stats;
-  // Same generation: only the leader's entries are visible — a follower's
-  // publishes must never leak to a sibling task mid-query (its own
-  // entries live in its task-local map).
-  EXPECT_EQ(memo.Find(ProbeFor(*follower, 1), /*gen=*/2, &stats), nullptr);
-  EXPECT_NE(memo.Find(ProbeFor(*leader, 2), /*gen=*/2, &stats), nullptr);
-  // The next query's generation sees both.
-  EXPECT_NE(memo.Find(ProbeFor(*follower, 1), /*gen=*/3, &stats), nullptr);
-  EXPECT_NE(memo.Find(ProbeFor(*leader, 2), /*gen=*/3, &stats), nullptr);
+  // A query that began before the publisher never sees its entries...
+  EXPECT_EQ(memo.Find(ProbeFor(*payload, 1), /*gen=*/1, &stats), nullptr);
+  // ...while the publishing query itself and every later one do.
+  EXPECT_NE(memo.Find(ProbeFor(*payload, 1), /*gen=*/2, &stats), nullptr);
+  EXPECT_NE(memo.Find(ProbeFor(*payload, 1), /*gen=*/3, &stats), nullptr);
   memo.Unpin();
 }
 
@@ -104,16 +99,16 @@ TEST(SharedMemoTest, CheapestWinsAndDuplicatesSkip) {
   memo.Pin();
   auto expensive = MakePayload(RelSet::Single(1), 10.0);
   auto cheaper = MakePayload(RelSet::Single(1), 5.0);
-  EXPECT_EQ(memo.Publish(7, expensive, 1, false),
+  EXPECT_EQ(memo.Publish(7, expensive, 1),
             MemoPublishResult::kStoredNew);
   // Publishing something no cheaper than the newest same-key entry is a
   // no-op...
-  EXPECT_EQ(memo.Publish(7, MakePayload(RelSet::Single(1), 12.0), 1, false),
+  EXPECT_EQ(memo.Publish(7, MakePayload(RelSet::Single(1), 12.0), 1),
             MemoPublishResult::kSkippedDuplicate);
-  EXPECT_EQ(memo.Publish(7, MakePayload(RelSet::Single(1), 10.0), 1, false),
+  EXPECT_EQ(memo.Publish(7, MakePayload(RelSet::Single(1), 10.0), 1),
             MemoPublishResult::kSkippedDuplicate);
   // ...while a strictly cheaper one supersedes it.
-  EXPECT_EQ(memo.Publish(7, cheaper, 1, false),
+  EXPECT_EQ(memo.Publish(7, cheaper, 1),
             MemoPublishResult::kStoredImproved);
   MemoProbeStats stats;
   const MemoPayload* hit = memo.Find(ProbeFor(*cheaper, 7), 2, &stats);
@@ -135,9 +130,9 @@ TEST(SharedMemoTest, FullKeyVerificationUnderForcedCollision) {
   auto with_b = MakePayload(RelSet::Single(1), 5.0, /*epoch=*/0,
                             /*bytes=*/64, {ExtKey("p1", "x", "z")});
   constexpr uint64_t kSharedMapKey = 42;
-  EXPECT_EQ(memo.Publish(kSharedMapKey, with_a, 1, false),
+  EXPECT_EQ(memo.Publish(kSharedMapKey, with_a, 1),
             MemoPublishResult::kStoredNew);
-  EXPECT_EQ(memo.Publish(kSharedMapKey, with_b, 1, false),
+  EXPECT_EQ(memo.Publish(kSharedMapKey, with_b, 1),
             MemoPublishResult::kStoredNew);
 
   MemoProbeStats stats;
@@ -163,7 +158,7 @@ TEST(SharedMemoTest, EpochAdvanceInvalidatesAndSweepReclaims) {
   memo.Pin();
   auto payload = MakePayload(RelSet::Single(1), 10.0, memo.epoch(),
                              /*bytes=*/128);
-  ASSERT_EQ(memo.Publish(7, payload, 1, false),
+  ASSERT_EQ(memo.Publish(7, payload, 1),
             MemoPublishResult::kStoredNew);
   EXPECT_EQ(memo.used_bytes(), 128);
   EXPECT_EQ(root.used(), 128);
@@ -191,12 +186,10 @@ TEST(SharedMemoTest, ByteBudgetRejectsAndClearRebalances) {
   config.parent = &root;
   SharedMemo memo(config);
   memo.Pin();
-  EXPECT_EQ(memo.Publish(1, MakePayload(RelSet::Single(1), 1.0, 0, 100), 1,
-                         false),
+  EXPECT_EQ(memo.Publish(1, MakePayload(RelSet::Single(1), 1.0, 0, 100), 1),
             MemoPublishResult::kStoredNew);
   // 100 + 100 > 150: over-budget publishes are rejected, never partial.
-  EXPECT_EQ(memo.Publish(2, MakePayload(RelSet::Single(2), 2.0, 0, 100), 1,
-                         false),
+  EXPECT_EQ(memo.Publish(2, MakePayload(RelSet::Single(2), 2.0, 0, 100), 1),
             MemoPublishResult::kRejectedMemory);
   EXPECT_EQ(memo.used_bytes(), 100);
   EXPECT_EQ(root.used(), 100);
@@ -254,8 +247,7 @@ TEST(SharedMemoTest, ConcurrentPublishLookupDeterministicWinner) {
             Mix64(static_cast<uint64_t>(t * kRounds + r)) % kKeys);
         auto payload =
             MakePayload(RelSet::Single(key), cost_of(t, r, key));
-        memo.Publish(static_cast<uint64_t>(key + 1), payload, /*gen=*/1,
-                     /*leader=*/false);
+        memo.Publish(static_cast<uint64_t>(key + 1), payload, /*gen=*/1);
         // Interleaved lookups: any hit is a fully-published entry for
         // this exact key, at most as expensive as what we just offered.
         const MemoPayload* hit =
@@ -306,7 +298,7 @@ TEST(SharedMemoTest, LruSweepAfterConcurrentOvershoot) {
       }
       memo.Publish(static_cast<uint64_t>(t + 1),
                    MakePayload(RelSet::Single(t), 1.0 + t, 0, 60),
-                   /*gen=*/1, /*leader=*/false);
+                   /*gen=*/1);
       memo.Unpin();
     });
   }
@@ -358,9 +350,9 @@ TEST(SharedMemoTest, LruSweepAfterConcurrentOvershoot) {
 TEST(SharedMemoExportTest, ExportRespectsMinGenAndEpoch) {
   SharedMemo memo;
   memo.Pin();
-  memo.Publish(1, MakePayload(RelSet::Single(1), 10.0), /*gen=*/1, false);
-  memo.Publish(2, MakePayload(RelSet::Single(2), 20.0), /*gen=*/2, false);
-  memo.Publish(3, MakePayload(RelSet::Single(3), 30.0), /*gen=*/3, false);
+  memo.Publish(1, MakePayload(RelSet::Single(1), 10.0), /*gen=*/1);
+  memo.Publish(2, MakePayload(RelSet::Single(2), 20.0), /*gen=*/2);
+  memo.Publish(3, MakePayload(RelSet::Single(3), 30.0), /*gen=*/3);
   memo.Unpin();
 
   EXPECT_EQ(memo.ExportEntries(0).size(), 3u);
@@ -381,10 +373,10 @@ TEST(SharedMemoExportTest, ExportIsDeterministicallyOrdered) {
   SharedMemo memo;
   memo.Pin();
   // Publish out of key order, with an improvement chain on key 5.
-  memo.Publish(9, MakePayload(RelSet::Single(1), 10.0), 1, false);
-  memo.Publish(5, MakePayload(RelSet::Single(2), 20.0), 1, false);
-  memo.Publish(5, MakePayload(RelSet::Single(2), 15.0), 2, false);
-  memo.Publish(7, MakePayload(RelSet::Single(3), 30.0), 2, false);
+  memo.Publish(9, MakePayload(RelSet::Single(1), 10.0), 1);
+  memo.Publish(5, MakePayload(RelSet::Single(2), 20.0), 1);
+  memo.Publish(5, MakePayload(RelSet::Single(2), 15.0), 2);
+  memo.Publish(7, MakePayload(RelSet::Single(3), 30.0), 2);
   memo.Unpin();
 
   std::vector<MemoExportEntry> a = memo.ExportEntries(0);
@@ -437,7 +429,7 @@ TEST(SharedMemoExportTest, ImportsAreNotReExportedByAppends) {
 
   uint64_t gen = memo.BeginQuery();
   memo.Pin();
-  memo.Publish(9, MakePayload(RelSet::Single(2), 20.0), gen, true);
+  memo.Publish(9, MakePayload(RelSet::Single(2), 20.0), gen);
   memo.Unpin();
   std::vector<MemoExportEntry> fresh = memo.ExportEntries(1);
   ASSERT_EQ(fresh.size(), 1u);
@@ -454,7 +446,7 @@ TEST(SharedMemoExportTest, ExportImportRoundTripPreservesTrackerBalance) {
     source.Pin();
     for (int i = 0; i < 8; ++i) {
       source.Publish(static_cast<uint64_t>(i + 1),
-                     MakePayload(RelSet::Single(i), 10.0 + i), 1, false);
+                     MakePayload(RelSet::Single(i), 10.0 + i), 1);
     }
     source.Unpin();
     exported = source.ExportEntries(0);

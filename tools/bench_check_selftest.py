@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Self-test for the bench_check.py policy gate.
+"""Self-test for the bench_check.py policy and enumerator gates.
 
-Runs bench_check.py against the committed BENCH_policy.json twice over:
-once with the baseline as its own candidate (a fresh passing run must exit
-0), then once per doctored candidate simulating a regression each gate
-exists to catch (must exit 1). Registered as the bench_check_selftest
-ctest so a refactor of the checker that silently stops failing bad input
-is itself a test failure.
+Runs bench_check.py against the committed BENCH_policy.json (and, when
+given, BENCH_enum.json) twice over: once with the baseline as its own
+candidate (a fresh passing run must exit 0), then once per doctored
+candidate simulating a regression each gate exists to catch (must exit
+1). Registered as the bench_check_selftest ctest so a refactor of the
+checker that silently stops failing bad input is itself a test failure.
 
 Usage: bench_check_selftest.py <bench_check.py> <BENCH_policy.json>
+                               [<BENCH_enum.json>]
 """
 
 import copy
@@ -45,20 +46,29 @@ def run_check(check_py, baseline, candidate_obj):
         os.unlink(path)
 
 
+def load(path, bench):
+    with open(path) as f:
+        fresh = json.load(f)
+    if fresh.get("bench") != bench:
+        print(f"selftest: {path} is not a {bench} JSON", file=sys.stderr)
+        return None
+    return fresh
+
+
 def main(argv):
-    if len(argv) != 2:
+    if len(argv) not in (2, 3):
         print(__doc__, file=sys.stderr)
         return 2
-    check_py, baseline = argv
-    with open(baseline) as f:
-        fresh = json.load(f)
-    if fresh.get("bench") != "bench_policy":
-        print(f"selftest: {baseline} is not a bench_policy JSON", file=sys.stderr)
+    check_py, policy_json = argv[0], argv[1]
+    enum_json = argv[2] if len(argv) == 3 else None
+    fresh = load(policy_json, "bench_policy")
+    enum_fresh = load(enum_json, "bench_enumerator_perf") if enum_json else None
+    if fresh is None or (enum_json and enum_fresh is None):
         return 2
 
     failures = 0
 
-    def expect(label, candidate, want_rc):
+    def expect(label, candidate, want_rc, baseline=policy_json):
         nonlocal failures
         rc, out = run_check(check_py, baseline, candidate)
         ok = rc == want_rc
@@ -108,6 +118,35 @@ def main(argv):
     d = copy.deepcopy(fresh)
     d["rows"] = d["rows"][1:]
     expect("missing baseline row fails", d, 1)
+
+    if enum_fresh is not None:
+        def expect_enum(label, candidate, want_rc):
+            expect(label, candidate, want_rc, baseline=enum_json)
+
+        expect_enum("fresh enum run passes", enum_fresh, 0)
+
+        d = copy.deepcopy(enum_fresh)
+        d["identity_pass"] = False
+        expect_enum("enum identity_pass=false fails", d, 1)
+
+        d = copy.deepcopy(enum_fresh)
+        for r in d["rows"]:
+            # Extra machinery that costs more wall time than the simple
+            # reference: the within-run fast/ref gate must catch it.
+            if r["rels"] >= 7 and r.get("ref_ms"):
+                r["fast_ms_t1"] = r["ref_ms"] * 1.2
+        expect_enum("enumerator slower than the reference fails", d, 1)
+
+        d = copy.deepcopy(enum_fresh)
+        for r in d["rows"]:
+            # Below 7 relations the ratio is timer noise and not gated.
+            if r["rels"] < 7 and r.get("ref_ms"):
+                r["fast_ms_t1"] = r["ref_ms"] * 3.0
+        expect_enum("slow small queries alone pass", d, 0)
+
+        d = copy.deepcopy(enum_fresh)
+        d["rows"] = d["rows"][1:]
+        expect_enum("missing enum baseline row fails", d, 1)
 
     print(f"bench_check_selftest: {failures} failure(s)")
     return 0 if failures == 0 else 1

@@ -82,15 +82,23 @@ start_ecad() {
 }
 
 # Background query driver: keeps the daemon busy (and the crash-hit
-# counter moving) until the daemon dies. Alternates the two join shapes
-# so the first iterations publish fresh memo entries and the write-
-# behind append path gets exercised, not just the query steps.
+# counter moving) until the daemon dies. Alternates the two join shapes,
+# each with an always-true filter whose constant no earlier query used
+# (daemon pid + iteration), so every query publishes a fresh plan-cache
+# entry and every write-behind flush has something to append. With
+# fixed queries the append step only runs until their entries are
+# persisted, and a crash hit landing on it becomes a race against the
+# flush timer.
 drive_queries() {
+  local i=0
   while :; do
-    "$ECACLIENT" --socket "$SOCK" query "$PLAN2" --pred "$P01" \
+    i=$((i + 1))
+    "$ECACLIENT" --socket "$SOCK" query "$PLAN2" \
+      --pred "p01=R0.a = R1.a AND R1.b > -$1$i" \
       --retries 0 > /dev/null 2>&1 || true
     "$ECACLIENT" --socket "$SOCK" query "$PLAN3" --pred "$P01" \
-      --pred "$P12" --retries 0 > /dev/null 2>&1 || true
+      --pred "p12=R1.b = R2.b AND R2.a > -$1$i" \
+      --retries 0 > /dev/null 2>&1 || true
     kill -0 "$1" 2>/dev/null || break
     sleep 0.02
   done

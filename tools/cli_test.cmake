@@ -4,6 +4,7 @@
 # garbage, trailing-junk, negative, zero and out-of-range values for
 # --threads / --rows / --timeout-ms / --mem-limit-mb must exit nonzero with
 # a diagnostic naming the flag, and valid governed invocations must run.
+# --explain-stats must print the enumerator's counters.
 # Also covers the observability flags: --trace-out (both --trace-out=FILE
 # and --trace-out FILE forms) must write a Chrome-trace JSON file and print
 # the summary line, --metrics must print per-approach registry deltas, and
@@ -92,6 +93,21 @@ expect_ok("governed explain"
 if(NOT LAST_OUT MATCHES "governor: degraded=")
   message(FATAL_ERROR
           "governed explain did not print governor counters:\n${LAST_OUT}")
+endif()
+
+# --explain-stats prints the sequential search's counters; the knobs of the
+# deleted parallel/branch-and-bound search must not come back.
+expect_ok("explain-stats"
+          explain "(R0 join[p01] (R1 join[p12] R2))" --pred ${PRED}
+          --pred "p12=R1.b = R2.b" --rows 16 --approach eca --explain-stats)
+if(NOT LAST_OUT MATCHES "subplan_calls=[1-9][0-9]* pairs_considered=[0-9]+\n")
+  message(FATAL_ERROR "--explain-stats missing search counters:\n${LAST_OUT}")
+endif()
+if(NOT LAST_OUT MATCHES "cost_evals=[1-9][0-9]* cloned_nodes=[0-9]+\n")
+  message(FATAL_ERROR "--explain-stats missing cost counters:\n${LAST_OUT}")
+endif()
+if(LAST_OUT MATCHES "root_tasks|cost_memo_hits|prunes=")
+  message(FATAL_ERROR "--explain-stats prints deleted counters:\n${LAST_OUT}")
 endif()
 
 # --- observability flags ----------------------------------------------------

@@ -21,19 +21,18 @@
 //             side stays single-threaded, so the differential check also
 //             proves parallel execution matches sequential execution.
 //   --enum-diff  enumerator-differential mode: no budgets and no faults;
-//             each seeded query is enumerated at 1, 2 and 4 threads and
-//             with branch-and-bound and the cost memo toggled, asserting a
-//             byte-identical plan (cost and structural fingerprint), plus
-//             reuse on/off, asserting an identical plan cost. Threaded
-//             variants force the worker pool on (pool_spinup_us = 0), so
-//             the identity claim is exercised under real concurrency.
+//             each seeded query's plan cost must equal the reference
+//             enumerator's (bench/enum_reference.cc) bitwise, in enhanced
+//             mode and — up to 7 relations — in basic mode (reuse off),
+//             whose cost must also equal the enhanced one.
 //   --plan-cache  (with --enum-diff) routes every trial through one
 //             shared cross-query SharedMemo, advancing its stats epoch
-//             between trials (each trial has its own database): cached
-//             cold and warm runs must reproduce the private-memo plan
-//             cost bitwise, the warm plan must stay semantically
-//             equivalent to the query (execution oracle), and the cache
-//             must drain to zero tracked bytes at the end.
+//             between trials (each trial has its own database): the cold
+//             cached run must reproduce the private-memo plan byte for
+//             byte, the warm repeat its cost bitwise, the warm plan must
+//             stay semantically equivalent to the query (execution
+//             oracle), and the cache must drain to zero tracked bytes at
+//             the end.
 //   --cache-file <path>  plan-cache corruption fuzz: the persistent-cache
 //             loader (storage/cache_store.h) must load-or-degrade — never
 //             crash, never fail the caller, never unbalance the memory
@@ -77,6 +76,7 @@
 #include "algebra/validate.h"
 #include "common/memory_tracker.h"
 #include "common/rng.h"
+#include "enum_reference.h"
 #include "eca/optimizer.h"
 #include "enumerate/shared_memo.h"
 #include "exec/executor.h"
@@ -328,80 +328,68 @@ std::string RunTrial(const Trial& t, const TrialSetup& setup,
   return "";
 }
 
-// Enumerator-differential round: the same query enumerated with the fast
-// paths toggled one by one, with no budgets and no faults. Parallel root
-// enumeration, branch-and-bound and the cost memo all promise a
-// byte-identical plan; subplan reuse promises an identical plan cost
-// (Theorem 5.4 guards its soundness, and in practice it is plan-identical
-// too — but the cost is the contract). Any difference is a bug.
+// Basic mode (no subplan reuse) is exponential; past this many relations
+// the basic differential is skipped.
+constexpr int kEnumDiffBasicMaxRels = 7;
+
+// Enumerator-differential round, with no budgets and no faults: the
+// production search must pick a plan with bitwise the same cost as the
+// reference enumerator (bench/enum_reference.cc: the pre-fast-path search,
+// whole-plan clone per decomposition). Enhanced mode (d-edge-guarded
+// reuse) is checked on every query; basic mode up to
+// kEnumDiffBasicMaxRels relations, where it must also match the enhanced
+// cost (Theorem 5.4: guarded reuse never changes the optimum). Any
+// difference is a bug.
 std::string RunEnumDiff(const Trial& t, SharedMemo* cache) {
   CostModel cost = CostModel::FromDatabase(t.db);
   SwapPolicy policy = SwapPolicy::kECA;
   if (t.setup.approach == Optimizer::Approach::kTBA) policy = SwapPolicy::kTBA;
   if (t.setup.approach == Optimizer::Approach::kCBA) policy = SwapPolicy::kCBA;
-  auto run = [&](int threads, bool reuse, bool prune, bool cost_memo,
-                 SharedMemo* memo = nullptr) {
+  auto run = [&](bool reuse, SharedMemo* memo = nullptr) {
     EnumeratorOptions o;
     o.policy = policy;
     o.reuse_subplans = reuse;
-    o.prune = prune;
-    o.cost_memo = cost_memo;
-    o.num_threads = threads;
-    // Always fan the pool out: queries this small would otherwise stay on
-    // the sequential fast path and never exercise real concurrency.
-    o.pool_spinup_us = 0;
     o.shared_memo = memo;
     TopDownEnumerator e(&cost, o);
     return e.Optimize(*t.query);
   };
-  TopDownEnumerator::Result base = run(1, true, true, true);
+  TopDownEnumerator::Result base = run(true);
   if (base.plan == nullptr) return "enum-diff: null plan from the baseline";
-  const uint64_t base_fp = PlanFingerprint(*base.plan);
-
-  struct Variant {
-    const char* name;
-    int threads;
-    bool reuse, prune, cost_memo;
-    bool plan_identical;  // else: cost-identical only
-  };
-  const Variant variants[] = {
-      {"threads=2", 2, true, true, true, true},
-      {"threads=4", 4, true, true, true, true},
-      {"no-prune", 1, true, false, true, true},
-      {"no-cost-memo", 1, true, true, false, true},
-      {"no-reuse", 1, false, true, true, false},
-  };
-  for (const Variant& v : variants) {
-    TopDownEnumerator::Result r = run(v.threads, v.reuse, v.prune,
-                                      v.cost_memo);
-    if (r.plan == nullptr) {
-      return std::string("enum-diff: null plan from ") + v.name;
+  ReferenceEnumerator reference(&cost, policy);
+  if (base.cost != reference.Optimize(*t.query).cost) {
+    return "enum-diff: enhanced cost differs from the reference enumerator";
+  }
+  if (static_cast<int>(t.query->leaves().Count()) <= kEnumDiffBasicMaxRels) {
+    TopDownEnumerator::Result basic = run(false);
+    if (basic.plan == nullptr) return "enum-diff: null plan from basic mode";
+    ReferenceEnumerator basic_reference(&cost, policy,
+                                        /*reuse_subplans=*/false);
+    if (basic.cost != basic_reference.Optimize(*t.query).cost) {
+      return "enum-diff: basic cost differs from the reference enumerator";
     }
-    if (r.cost != base.cost) {
-      return std::string("enum-diff: ") + v.name + " changed the plan cost";
-    }
-    if (v.plan_identical && PlanFingerprint(*r.plan) != base_fp) {
-      return std::string("enum-diff: ") + v.name + " changed the plan\n" +
-             r.plan->ToString();
+    if (basic.cost != base.cost) {
+      return "enum-diff: subplan reuse changed the plan cost";
     }
   }
 
   if (cache != nullptr) {
-    // Cross-query plan-cache differential: a cold cached run must land on
-    // the private-memo cost bitwise; so must a warm 4-thread run against
-    // the entries the cold run just published (every cached entry is a
-    // true optimum for its full key, so reuse can never change the chosen
-    // cost — only skip re-derivation). Warm plan bytes are NOT promised
-    // identical to cold, so the warm plan is checked semantically against
-    // the query instead.
-    TopDownEnumerator::Result cached_cold = run(1, true, true, true, cache);
+    // Cross-query plan-cache differential: a cold cached run must pick the
+    // private-memo plan byte for byte; a warm run against the entries the
+    // cold run just published must land on its cost bitwise (every cached
+    // entry is a true optimum for its full key, so reuse can never change
+    // the chosen cost — only skip re-derivation). Warm plan bytes are NOT
+    // promised identical to cold, so the warm plan is checked semantically
+    // against the query instead.
+    TopDownEnumerator::Result cached_cold = run(true, cache);
     if (cached_cold.plan == nullptr) {
       return "plan-cache: null plan from the cold cached run";
     }
-    if (cached_cold.cost != base.cost) {
-      return "plan-cache: cold cached run changed the plan cost";
+    if (cached_cold.cost != base.cost ||
+        PlanFingerprint(*cached_cold.plan) != PlanFingerprint(*base.plan)) {
+      return "plan-cache: cold cached run changed the plan\n" +
+             cached_cold.plan->ToString();
     }
-    TopDownEnumerator::Result warm = run(4, true, true, true, cache);
+    TopDownEnumerator::Result warm = run(true, cache);
     if (warm.plan == nullptr) {
       return "plan-cache: null plan from the warm cached run";
     }

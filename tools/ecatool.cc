@@ -17,12 +17,12 @@
 //       Data is random (N rows per relation) unless --data names a
 //       directory of R<i>.tbl files (columns k,a,b as written by the
 //       generators; see gen-tpch for TPC-H-style tables). --threads runs
-//       the enumeration's root pair loop and the executions on a worker
-//       pool; results are identical for every thread count
-//       (docs/performance.md). --explain-stats additionally prints the
-//       full EnumeratorStats of each optimization (search-tree nodes,
-//       memo reuses, branch-and-bound prunes, cloned nodes, budget
-//       trigger, ...) together with its wall-clock time.
+//       the executions on a worker pool (planning is sequential); results
+//       are identical for every thread count (docs/performance.md).
+//       --explain-stats additionally prints the full EnumeratorStats of
+//       each optimization (search-tree nodes, memo reuses, cost
+//       evaluations, cloned nodes, budget trigger, ...) together with its
+//       wall-clock time.
 //
 //       --trace-out=<file.json> (or --trace-out <file.json>) records a
 //       Chrome-trace/Perfetto span timeline of the whole run — optimizer
@@ -499,17 +499,15 @@ int Explain(int argc, char** argv) {
       const EnumeratorStats& s = best->stats;
       std::printf(
           "enumerator stats (optimized in %.2f ms):\n"
-          "  subplan_calls=%lld pairs_considered=%lld root_tasks=%lld\n"
+          "  subplan_calls=%lld pairs_considered=%lld\n"
           "  swaps_attempted=%lld swaps_failed=%lld "
           "swap_chain_guard_trips=%lld\n"
           "  plans_completed=%lld reuses=%lld cache_entries=%lld "
           "sig_collisions=%lld\n"
-          "  prunes=%lld cost_evals=%lld cost_memo_hits=%lld "
-          "cloned_nodes=%lld\n"
+          "  cost_evals=%lld cloned_nodes=%lld\n"
           "  degraded=%s trigger=%s\n",
           opt_ms, static_cast<long long>(s.subplan_calls),
           static_cast<long long>(s.pairs_considered),
-          static_cast<long long>(s.root_tasks),
           static_cast<long long>(s.swaps_attempted),
           static_cast<long long>(s.swaps_failed),
           static_cast<long long>(s.swap_chain_guard_trips),
@@ -517,9 +515,7 @@ int Explain(int argc, char** argv) {
           static_cast<long long>(s.reuses),
           static_cast<long long>(s.cache_entries),
           static_cast<long long>(s.sig_collisions),
-          static_cast<long long>(s.prunes),
           static_cast<long long>(s.cost_evals),
-          static_cast<long long>(s.cost_memo_hits),
           static_cast<long long>(s.cloned_nodes),
           s.degraded ? "yes" : "no", BudgetTriggerName(s.trigger));
     }
