@@ -1,7 +1,7 @@
 // Differential soak run: random queries cross-checked along every axis the
 // library offers —
 //   * optimizer policies (ECA / TBA / CBA, basic and enhanced enumeration)
-//   * both engines (materializing hash, sort-merge) and the pull engine
+//   * both engine profiles (hash, sort-merge)
 //   * every realizable ordering of each query
 // Every produced plan must evaluate to the same multiset as the query as
 // written. This is the capstone end-to-end validation; run it with a large
@@ -16,7 +16,7 @@
 #include "enumerate/enumerator.h"
 #include "enumerate/join_order.h"
 #include "enumerate/realize.h"
-#include "exec/iterator_exec.h"
+#include "exec/executor.h"
 #include "testing/random_data.h"
 #include "testing/random_query.h"
 
@@ -37,14 +37,14 @@ int Run(int queries, int max_rels, bool all_orderings) {
     PlanPtr query = RandomQuery(rng, qopts, dopts);
     Executor reference_engine;
     Relation reference =
-        CanonicalizeColumnOrder(reference_engine.Execute(*query, db));
+        CanonicalizeColumnOrder(reference_engine.Execute(*query, db).value());
 
     auto check = [&](const Plan& plan, const char* what) {
       // Materializing hash engine.
       Executor hash_engine;
       ++plans_checked;
-      if (!SameMultiset(reference, CanonicalizeColumnOrder(
-                                       hash_engine.Execute(plan, db)))) {
+      Relation hashed = hash_engine.Execute(plan, db).value();
+      if (!SameMultiset(reference, CanonicalizeColumnOrder(hashed))) {
         ++failures;
         std::printf("!! %s (hash) wrong on seed %d\n%s", what, seed,
                     plan.ToString().c_str());
@@ -55,18 +55,10 @@ int Run(int queries, int max_rels, bool all_orderings) {
       smj_opts.join_preference = Executor::JoinPreference::kSortMerge;
       Executor smj_engine(smj_opts);
       ++plans_checked;
-      if (!SameMultiset(reference, CanonicalizeColumnOrder(
-                                       smj_engine.Execute(plan, db)))) {
+      Relation merged = smj_engine.Execute(plan, db).value();
+      if (!SameMultiset(reference, CanonicalizeColumnOrder(merged))) {
         ++failures;
         std::printf("!! %s (sort-merge) wrong on seed %d\n", what, seed);
-        return;
-      }
-      // Pull engine.
-      ++plans_checked;
-      if (!SameMultiset(reference,
-                        CanonicalizeColumnOrder(ExecutePull(plan, db)))) {
-        ++failures;
-        std::printf("!! %s (pull) wrong on seed %d\n", what, seed);
       }
     };
 

@@ -59,7 +59,7 @@ Run TimeWithThreads(const Plan& plan, const Database& db, int threads,
     Executor ex(
         Executor::Options{Executor::JoinPreference::kHash, threads, tuning});
     auto t0 = std::chrono::steady_clock::now();
-    Relation out = ex.Execute(plan, db);
+    Relation out = ex.Execute(plan, db).value();
     auto t1 = std::chrono::steady_clock::now();
     double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (ms < run.ms) {

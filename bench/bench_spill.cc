@@ -61,7 +61,7 @@ StatusOr<Relation> TimeGoverned(const Plan& plan, const Database& db,
     QueryContext ctx(limits);
     Executor ex;
     auto t0 = std::chrono::steady_clock::now();
-    StatusOr<Relation> got = ex.ExecuteWithContext(plan, db, &ctx);
+    StatusOr<Relation> got = ex.Execute(plan, db, &ctx);
     auto t1 = std::chrono::steady_clock::now();
     double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (ms < row->wall_ms) {
@@ -106,7 +106,7 @@ int Run(double sf, double nu, int iters, const std::string& json_path) {
     for (int i = 0; i < iters; ++i) {
       Executor ex;
       auto t0 = std::chrono::steady_clock::now();
-      Relation out = ex.Execute(*np.plan, q.db);
+      Relation out = ex.Execute(*np.plan, q.db).value();
       auto t1 = std::chrono::steady_clock::now();
       double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
       if (ms < base.wall_ms) {

@@ -30,7 +30,7 @@ inline double TimePlanMs(const Plan& plan, const Database& db,
   for (int i = 0; i < iters; ++i) {
     Executor ex(opts);
     auto t0 = std::chrono::steady_clock::now();
-    Relation out = ex.Execute(plan, db);
+    Relation out = ex.Execute(plan, db).value();
     auto t1 = std::chrono::steady_clock::now();
     double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (ms < best) best = ms;

@@ -43,7 +43,7 @@ std::vector<std::string> ValidatePlan(const Plan& plan,
                                       const std::vector<Schema>& base,
                                       const ValidateOptions& opts = {});
 
-// Status form for propagating callers (the Optimizer facade, tools):
+// Status form for propagating callers (tools, the ecad session):
 // INVALID_ARGUMENT joining every problem found, OK when valid.
 Status ValidatePlanStatus(const Plan& plan, const std::vector<Schema>& base,
                           const ValidateOptions& opts = {});

@@ -1,10 +1,10 @@
 #include "eca/optimizer.h"
 
 #include <cctype>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "algebra/validate.h"
 #include "common/str_util.h"
 #include "common/trace.h"
 #include "enumerate/acyclic.h"
@@ -49,6 +49,12 @@ Optimizer::Optimized Optimizer::Finish(PlanPtr plan, const CostModel& cost,
 
 Optimizer::Optimized Optimizer::Optimize(const Plan& query,
                                          const Database& db) const {
+  return OptimizeGoverned(query, db, nullptr);
+}
+
+Optimizer::Optimized Optimizer::OptimizeGoverned(const Plan& query,
+                                                 const Database& db,
+                                                 QueryContext* ctx) const {
   TraceSpan span("optimize");
   if (span.active()) {
     span.AppendArg("approach", ApproachName(options_.approach));
@@ -60,6 +66,8 @@ Optimizer::Optimized Optimizer::Optimize(const Plan& query,
     return CostModel::FromDatabase(db);
   }();
   const char* policy_name = PlanPolicyName(options_.plan_policy);
+  static Counter* const fallbacks =
+      MetricsRegistry::Global().counter("optimizer.sizes_only_fallback");
 
   // An ordering-producing policy (sizes-only, greedy) realizes its order
   // with the approach's compensation arsenal and skips DP entirely; these
@@ -71,6 +79,28 @@ Optimizer::Optimized Optimizer::Optimize(const Plan& query,
     if (plan == nullptr) plan = query.Clone();
     return plan;
   };
+
+  const int64_t remaining = ctx != nullptr ? ctx->RemainingMs() : INT64_MAX;
+  if (remaining != INT64_MAX && options_.sizes_only_fallback_ms > 0 &&
+      remaining < options_.sizes_only_fallback_ms) {
+    // The deadline leaves no budget for DP enumeration with compensation
+    // operators: degrade to the sizes-only order and save every remaining
+    // millisecond for execution. Unlike a deliberate sizes-only policy
+    // this is a degradation; the note names the displaced policy.
+    fallbacks->Increment();
+    EnumeratorStats stats;
+    stats.degraded = true;
+    stats.trigger = BudgetTrigger::kSizesOnlyFallback;
+    std::string note =
+        options_.plan_policy == PlanPolicy::kSizesOnly
+            ? ""
+            : std::string("requested ") + policy_name +
+                  ", degraded to sizes-only";
+    return Finish(realize(SizesOnlyOrdering(query, BaseTableRows(db))), cost,
+                  before, stats, PlanPolicyName(PlanPolicy::kSizesOnly),
+                  note);
+  }
+
   std::string note;
   switch (options_.plan_policy) {
     case PlanPolicy::kDp:
@@ -106,6 +136,16 @@ Optimizer::Optimized Optimizer::Optimize(const Plan& query,
   opts.reuse_subplans = options_.reuse_subplans;
   opts.budget = options_.budget;
   opts.shared_memo = options_.plan_cache;
+  if (remaining != INT64_MAX) {
+    // The enumeration's wall clock is clamped to the deadline, so one
+    // --timeout-ms covers enumeration and execution. An expired deadline
+    // still gets a 1ms budget: the enumerator notices exhaustion at its
+    // first check and returns the query as written, flagged degraded.
+    int64_t ms = remaining > 0 ? remaining : 1;
+    if (opts.budget.wall_clock_ms <= 0 || opts.budget.wall_clock_ms > ms) {
+      opts.budget.wall_clock_ms = ms;
+    }
+  }
   TopDownEnumerator enumerator(&cost, opts);
   auto result = enumerator.Optimize(query);
   if (result.stats.degraded && result.stats.no_complete_plan) {
@@ -118,8 +158,6 @@ Optimizer::Optimized Optimizer::Optimize(const Plan& query,
     PlanPtr fallback =
         theta != nullptr ? RealizeOrdering(query, *theta, policy()) : nullptr;
     if (fallback != nullptr) {
-      static Counter* const fallbacks = MetricsRegistry::Global().counter(
-          "optimizer.sizes_only_fallback");
       fallbacks->Increment();
       result.plan = std::move(fallback);
       result.stats.trigger = BudgetTrigger::kSizesOnlyFallback;
@@ -131,78 +169,6 @@ Optimizer::Optimized Optimizer::Optimize(const Plan& query,
                 policy_name, note);
 }
 
-StatusOr<Optimizer::Optimized> Optimizer::OptimizeChecked(
-    const Plan& query, const Database& db) const {
-  ECA_RETURN_IF_ERROR(
-      ValidatePlanStatus(query, db.BaseSchemas()).WithContext("Optimize"));
-  return Optimize(query, db);
-}
-
-StatusOr<Relation> Optimizer::ExecuteChecked(const Plan& plan,
-                                             const Database& db) const {
-  // Relaxed duplicate handling: optimizer output may be a Yannakakis plan
-  // whose reducers reference relations again inside semijoin pruning sides.
-  ValidateOptions vopts;
-  vopts.allow_hidden_duplicates = true;
-  ECA_RETURN_IF_ERROR(ValidatePlanStatus(plan, db.BaseSchemas(), vopts)
-                          .WithContext("Execute"));
-  return Execute(plan, db);
-}
-
-Optimizer::Optimized Optimizer::OptimizeSizesOnly(const Plan& query,
-                                                  const Database& db) const {
-  TraceSpan span("optimize-sizes-only");
-  if (span.active()) {
-    span.AppendArg("approach", ApproachName(options_.approach));
-  }
-  static Counter* const fallbacks =
-      MetricsRegistry::Global().counter("optimizer.sizes_only_fallback");
-  fallbacks->Increment();
-  MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
-  CostModel cost = CostModel::FromDatabase(db);
-  OrderingNodePtr theta = SizesOnlyOrdering(query, BaseTableRows(db));
-  PlanPtr plan =
-      theta != nullptr ? RealizeOrdering(query, *theta, policy()) : nullptr;
-  if (plan == nullptr) plan = query.Clone();
-  EnumeratorStats stats;
-  stats.degraded = true;
-  stats.trigger = BudgetTrigger::kSizesOnlyFallback;
-  // Unlike a deliberate --policy sizes-only run, this path is always a
-  // degradation; note which policy was displaced when it was not
-  // sizes-only already.
-  std::string note =
-      options_.plan_policy == PlanPolicy::kSizesOnly
-          ? ""
-          : std::string("requested ") + PlanPolicyName(options_.plan_policy) +
-                ", degraded to sizes-only";
-  return Finish(std::move(plan), cost, before, stats,
-                PlanPolicyName(PlanPolicy::kSizesOnly), note);
-}
-
-Optimizer::Optimized Optimizer::OptimizeGoverned(const Plan& query,
-                                                 const Database& db,
-                                                 QueryContext* ctx) const {
-  Options opts = options_;
-  int64_t remaining = ctx != nullptr ? ctx->RemainingMs() : INT64_MAX;
-  if (remaining != INT64_MAX && options_.sizes_only_fallback_ms > 0 &&
-      remaining < options_.sizes_only_fallback_ms) {
-    // The admission deadline leaves no budget for DP enumeration with
-    // compensation operators: degrade to the sizes-only order and save
-    // every remaining millisecond for execution.
-    return OptimizeSizesOnly(query, db);
-  }
-  if (remaining != INT64_MAX) {
-    // An expired deadline still gets a 1ms budget: the enumerator notices
-    // exhaustion at its first between-wave check and returns the query as
-    // written, flagged degraded.
-    int64_t ms = remaining > 0 ? remaining : 1;
-    if (opts.budget.wall_clock_ms <= 0 || opts.budget.wall_clock_ms > ms) {
-      opts.budget.wall_clock_ms = ms;
-    }
-  }
-  return Optimizer(opts).Optimize(query, db);
-}
-
 StatusOr<Relation> Optimizer::ExecuteGoverned(const Plan& plan,
                                               const Database& db,
                                               QueryContext* ctx,
@@ -210,7 +176,7 @@ StatusOr<Relation> Optimizer::ExecuteGoverned(const Plan& plan,
   Executor ex(
       Executor::Options{options_.join_preference, options_.num_threads,
                         options_.exec_tuning});
-  StatusOr<Relation> result = ex.ExecuteWithContext(plan, db, ctx);
+  StatusOr<Relation> result = ex.Execute(plan, db, ctx);
   if (stats != nullptr) *stats = ex.stats();
   return result;
 }
@@ -246,10 +212,7 @@ PlanPtr Optimizer::Reorder(const Plan& query,
 }
 
 Relation Optimizer::Execute(const Plan& plan, const Database& db) const {
-  Executor ex(
-      Executor::Options{options_.join_preference, options_.num_threads,
-                        options_.exec_tuning});
-  return ex.Execute(plan, db);
+  return ExecuteGoverned(plan, db, nullptr).value();
 }
 
 std::string Optimizer::Explain(const Plan& plan, const Database& db,

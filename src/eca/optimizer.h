@@ -98,48 +98,32 @@ class Optimizer {
     PlanProvenance provenance;
   };
 
-  // Cost-based join reordering of `query` over `db`'s statistics.
-  // `query` must be well formed (CHECK-fails otherwise); for plans built
-  // from user input, use OptimizeChecked.
+  // Cost-based join reordering of `query` over `db`'s statistics:
+  // OptimizeGoverned without a context. `query` must be well formed
+  // (CHECK-fails otherwise); validate plans built from user input with
+  // ValidatePlanStatus (algebra/validate.h) first.
   Optimized Optimize(const Plan& query, const Database& db) const;
 
-  // Validating front door for externally-supplied plans: rejects plans
-  // that reference missing relations/columns or violate the structural
-  // invariants of ValidatePlan with INVALID_ARGUMENT instead of aborting.
-  // On success, behaves exactly like Optimize (including budget-degraded
-  // results — a degraded plan is a valid plan, not an error).
-  StatusOr<Optimized> OptimizeChecked(const Plan& query,
-                                      const Database& db) const;
-
-  // Validating counterpart of Execute for externally-supplied plans.
-  StatusOr<Relation> ExecuteChecked(const Plan& plan,
-                                    const Database& db) const;
-
-  // Governed optimization: like Optimize, but the enumeration budget's
-  // wall clock is clamped to `ctx`'s remaining deadline, so one
-  // --timeout-ms covers enumeration and execution as a single contract.
-  // An already-expired context degrades immediately (best-so-far plan,
-  // stats.degraded set) rather than erroring — callers decide whether a
-  // degraded plan is still worth executing with the time they have left.
-  // When Options::sizes_only_fallback_ms is set and the remaining
-  // deadline is below it, DP enumeration is skipped in favor of
-  // OptimizeSizesOnly.
+  // Governed optimization: the enumeration budget's wall clock is clamped
+  // to `ctx`'s remaining deadline, so one --timeout-ms covers enumeration
+  // and execution as a single contract. An already-expired context
+  // degrades immediately (best-so-far plan, stats.degraded set) rather
+  // than erroring — callers decide whether a degraded plan is still worth
+  // executing with the time they have left. When
+  // Options::sizes_only_fallback_ms is set and the remaining deadline is
+  // below it, DP enumeration is skipped: joins are ordered greedily from
+  // base table row counts alone (smallest first, connected relations
+  // preferred) and realized with the approach's compensation arsenal,
+  // flagged degraded with BudgetTrigger::kSizesOnlyFallback. A null `ctx`
+  // is ungoverned.
   Optimized OptimizeGoverned(const Plan& query, const Database& db,
                              QueryContext* ctx) const;
 
-  // The sizes-only degraded planner: greedily orders joins from base
-  // table row counts alone (smallest tables first, connected relations
-  // preferred) and realizes that ordering with the approach's
-  // compensation arsenal; when the greedy ordering is not realizable the
-  // query is returned as written. Always flags the result degraded with
-  // BudgetTrigger::kSizesOnlyFallback. Exposed for tests and for callers
-  // that want the fallback unconditionally.
-  Optimized OptimizeSizesOnly(const Plan& query, const Database& db) const;
-
   // Governed execution: evaluates `plan` under `ctx`'s memory, deadline
-  // and cancellation limits (Executor::ExecuteWithContext). On both
-  // success and failure `stats`, when given, receives the executor's
-  // counters (peak_bytes, spilled_partitions, ...).
+  // and cancellation limits (Executor::Execute); a null `ctx` is
+  // ungoverned. On both success and failure `stats`, when given, receives
+  // the executor's counters (peak_bytes, spilled_partitions, ...) and the
+  // per-node profile of this run.
   StatusOr<Relation> ExecuteGoverned(const Plan& plan, const Database& db,
                                      QueryContext* ctx,
                                      ExecStats* stats = nullptr) const;
@@ -153,7 +137,8 @@ class Optimizer {
   // theta-reorderability); nullptr if unreachable under the approach.
   PlanPtr Reorder(const Plan& query, const OrderingNode& theta) const;
 
-  // Evaluates a plan (compensation operators included).
+  // Evaluates a plan (compensation operators included): ExecuteGoverned
+  // without a context.
   Relation Execute(const Plan& plan, const Database& db) const;
 
   // Multi-line report: the plan tree, its cost estimate, optionally the

@@ -17,33 +17,6 @@ namespace eca {
 
 namespace {
 
-// Runs fn(row) for every input row, morsel-parallel when a pool is given:
-// workers (the caller included) claim fixed-size morsels from a shared
-// cursor until the input is dry. fn must only touch state owned by its
-// row (the transforms below write into a pre-sized output slot per row),
-// so the result is identical for every thread count. A governed ctx is
-// observed at every morsel boundary — sequential runs included — so
-// deadline/cancellation latency is bounded by one morsel of work
-// regardless of how operators are fused.
-template <typename RowFn>
-void ForEachRow(const Relation& in, ThreadPool* pool, QueryContext* ctx,
-                const ExecTuning* tuning, const RowFn& fn) {
-  const ExecTuning t = tuning != nullptr ? tuning->Clamped() : ExecTuning();
-  MorselCursor cursor(in.NumRows(), t.morsel_rows);
-  auto worker = [&](int) {
-    int64_t begin, end, morsel;
-    while (cursor.Next(&begin, &end, &morsel)) {
-      if (ctx != nullptr && ctx->ShouldStop()) return;
-      for (int64_t i = begin; i < end; ++i) fn(i);
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->RunOnWorkers(worker);
-  } else {
-    worker(0);
-  }
-}
-
 // Null mask of a tuple packed into words (bit i set = column i is NULL).
 // Distinct patterns (map keys) keep this owning form; per-row masks live
 // in a NullMaskMatrix (one flat allocation, no per-row heap traffic) and
@@ -145,56 +118,16 @@ Relation EvalBetaExternal(const Relation& in, QueryContext* ctx,
 
 }  // namespace
 
-Relation EvalLambda(const PredRef& pred, RelSet attrs, const Relation& in,
-                    ThreadPool* pool, QueryContext* ctx,
-                    const ExecTuning* tuning) {
-  ECA_CHECK(pred != nullptr);
-  CompiledPredicate compiled(pred, in.schema());
-  std::vector<int> cols = in.schema().ColumnsOf(attrs);
-  Relation out(in.schema());
-  // One output row per input row: pre-size and fill slots in parallel.
-  out.mutable_rows().resize(static_cast<size_t>(in.NumRows()));
-  ForEachRow(in, pool, ctx, tuning, [&](int64_t i) {
-    const Tuple& t = in.rows()[static_cast<size_t>(i)];
-    if (compiled.EvalTrue(t)) {
-      out.mutable_rows()[static_cast<size_t>(i)] = t;
-    } else {
-      Tuple u = t;
-      for (int c : cols) {
-        u[static_cast<size_t>(c)] =
-            Value::Null(in.schema().column(c).type);
-      }
-      out.mutable_rows()[static_cast<size_t>(i)] = std::move(u);
-    }
-  });
-  return out;
+Relation EvalLambda(const PredRef& pred, RelSet attrs, const Relation& in) {
+  FusedCompChain chain;
+  chain.AddLambda(pred, attrs, in.schema());
+  return ApplyFusedChain(chain, in, nullptr, nullptr, nullptr);
 }
 
-Relation EvalGamma(RelSet attrs, const Relation& in, ThreadPool* pool,
-                   QueryContext* ctx, const ExecTuning* tuning) {
-  std::vector<int> cols = in.schema().ColumnsOf(attrs);
-  ECA_CHECK_MSG(!cols.empty(), "gamma over attributes absent from input");
-  // Filter: mark selected rows in parallel, emit sequentially in row
-  // order (so the output is identical for every thread count).
-  std::vector<uint8_t> selected(static_cast<size_t>(in.NumRows()), 0);
-  ForEachRow(in, pool, ctx, tuning, [&](int64_t i) {
-    const Tuple& t = in.rows()[static_cast<size_t>(i)];
-    bool all_null = true;
-    for (int c : cols) {
-      if (!t[static_cast<size_t>(c)].is_null()) {
-        all_null = false;
-        break;
-      }
-    }
-    selected[static_cast<size_t>(i)] = all_null ? 1 : 0;
-  });
-  Relation out(in.schema());
-  for (int64_t i = 0; i < in.NumRows(); ++i) {
-    if (selected[static_cast<size_t>(i)]) {
-      out.Add(in.rows()[static_cast<size_t>(i)]);
-    }
-  }
-  return out;
+Relation EvalGamma(RelSet attrs, const Relation& in) {
+  FusedCompChain chain;
+  chain.AddGamma(attrs, in.schema());
+  return ApplyFusedChain(chain, in, nullptr, nullptr, nullptr);
 }
 
 Relation EvalBeta(const Relation& in, QueryContext* ctx, ExecStats* stats) {
@@ -556,40 +489,10 @@ Relation EvalBetaExternal(const Relation& in, QueryContext* ctx,
 
 }  // namespace
 
-Relation EvalGammaStar(RelSet attrs, RelSet keep, const Relation& in,
-                       ThreadPool* pool, QueryContext* ctx,
-                       ExecStats* stats, const ExecTuning* tuning) {
-  std::vector<int> acols = in.schema().ColumnsOf(attrs);
-  ECA_CHECK_MSG(!acols.empty(), "gamma* over attributes absent from input");
-  std::vector<int> nulled_cols;
-  for (int c = 0; c < in.schema().NumColumns(); ++c) {
-    if (!keep.Contains(in.schema().column(c).rel_id)) nulled_cols.push_back(c);
-  }
-  // The modification scan is 1:1 and row-parallel; the best-match stage
-  // below is inherently sequential (cross-row domination).
-  Relation modified(in.schema());
-  modified.mutable_rows().resize(static_cast<size_t>(in.NumRows()));
-  ForEachRow(in, pool, ctx, tuning, [&](int64_t i) {
-    const Tuple& t = in.rows()[static_cast<size_t>(i)];
-    bool all_null = true;
-    for (int c : acols) {
-      if (!t[static_cast<size_t>(c)].is_null()) {
-        all_null = false;
-        break;
-      }
-    }
-    if (all_null) {
-      modified.mutable_rows()[static_cast<size_t>(i)] = t;  // gamma_A branch
-    } else {
-      Tuple u = t;  // R' branch: null everything outside `keep`
-      for (int c : nulled_cols) {
-        u[static_cast<size_t>(c)] =
-            Value::Null(in.schema().column(c).type);
-      }
-      modified.mutable_rows()[static_cast<size_t>(i)] = std::move(u);
-    }
-  });
-  return EvalBeta(modified, ctx, stats);
+Relation EvalGammaStar(RelSet attrs, RelSet keep, const Relation& in) {
+  FusedCompChain chain;
+  chain.AddGammaStarModify(attrs, keep, in.schema());
+  return EvalBeta(ApplyFusedChain(chain, in, nullptr, nullptr, nullptr));
 }
 
 Relation EvalProject(RelSet attrs, const Relation& in) {
@@ -698,7 +601,11 @@ bool FusedCompChain::Apply(Tuple* t) const {
         break;
       case Step::Kind::kGammaFilter:
         for (int c : s.check_cols) {
-          if (!(*t)[static_cast<size_t>(c)].is_null()) return false;
+          if (!(*t)[static_cast<size_t>(c)].is_null()) {
+            std::atomic_ref<int64_t>(s.dropped)
+                .fetch_add(1, std::memory_order_relaxed);
+            return false;
+          }
         }
         break;
       case Step::Kind::kGammaStarModify: {

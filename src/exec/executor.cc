@@ -1,6 +1,8 @@
 #include "exec/executor.h"
 
 #include <chrono>
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "common/metrics.h"
@@ -20,26 +22,38 @@ double MsSince(Clock::time_point t0) {
       .count();
 }
 
-// Output schema of `plan` without executing it; the fusion dispatch needs
-// the base operator's schema to compile a chain before the base runs.
-Schema PlanOutputSchema(const Plan& plan, const Database& db) {
+// Leaf scans materialize a copy of the base table; morsel-parallel row
+// copy when a pool is available (slots are written by row index, so the
+// output is identical either way).
+Relation ScanTable(const Relation& table, ThreadPool* pool,
+                   const ExecTuning& tuning) {
+  if (pool == nullptr) return table;
+  Relation out(table.schema());
+  out.mutable_rows().resize(table.rows().size());
+  MorselCursor cursor(table.NumRows(), tuning.Clamped().morsel_rows);
+  pool->RunOnWorkers([&](int) {
+    int64_t begin, end, morsel;
+    while (cursor.Next(&begin, &end, &morsel)) {
+      for (int64_t i = begin; i < end; ++i) {
+        out.mutable_rows()[static_cast<size_t>(i)] =
+            table.rows()[static_cast<size_t>(i)];
+      }
+    }
+  });
+  return out;
+}
+
+std::string NodeLabel(const Plan& plan) {
   switch (plan.kind()) {
     case Plan::Kind::kLeaf:
-      return db.table(plan.rel_id()).schema();
-    case Plan::Kind::kJoin: {
-      Schema left = PlanOutputSchema(*plan.left(), db);
-      Schema right = PlanOutputSchema(*plan.right(), db);
-      return JoinOutputSchema(plan.op(), left, right);
-    }
-    case Plan::Kind::kComp: {
-      Schema child = PlanOutputSchema(*plan.child(), db);
-      if (plan.comp().kind == CompOp::Kind::kProject) {
-        return child.Project(plan.comp().attrs);
-      }
-      return child;  // lambda/beta/gamma/gamma* are schema-preserving
-    }
+      return "scan R" + std::to_string(plan.rel_id());
+    case Plan::Kind::kJoin:
+      return std::string(JoinOpName(plan.op())) +
+             (plan.pred() ? "[" + plan.pred()->DisplayName() + "]" : "");
+    case Plan::Kind::kComp:
+      return plan.comp().ToString();
   }
-  return Schema();
+  return "?";
 }
 
 }  // namespace
@@ -52,14 +66,38 @@ Executor::Executor(Options options) : options_(options) {
 
 Executor::~Executor() = default;
 
-Relation Executor::Execute(const Plan& plan, const Database& db) {
+StatusOr<Relation> Executor::Execute(const Plan& plan, const Database& db,
+                                     QueryContext* ctx) {
   TraceSpan span("execute");
+  if (span.active() && ctx != nullptr) {
+    span.AppendArg("governed", "yes");
+    const int64_t remaining = ctx->RemainingMs();
+    if (remaining != INT64_MAX) {
+      span.AppendArg("remaining_ms", static_cast<long long>(remaining));
+    }
+  }
+  ctx_ = ctx;
+  base_schemas_.clear();  // filled by the first fused chain that needs it
+  stats_.profile.clear();
   ExecStats before = stats_;
-  Relation out = ExecNode(plan, db);
+  Relation out = ExecNode(plan, db, 0);
+  if (ctx != nullptr) stats_.peak_bytes = ctx->tracker()->peak();
+  PublishStatsDelta(before);
+  if (ctx != nullptr && ctx->ShouldStop()) {
+    Status s = ctx->StopStatus();
+    if (!s.ok()) {
+      ctx_ = nullptr;
+      return s;
+    }
+  }
+  // Release the root's charge (ctx_ must still be set — ReleaseNodeOutput
+  // is a no-op otherwise): the caller owns the result now and the tracker
+  // balance returns to zero on success (asserted in tests).
+  ReleaseNodeOutput(out);
+  ctx_ = nullptr;
   if (span.active()) {
     span.AppendArg("rows", static_cast<long long>(out.NumRows()));
   }
-  PublishStatsDelta(before);
   return out;
 }
 
@@ -100,71 +138,40 @@ void Executor::PublishStatsDelta(const ExecStats& before) const {
   if (stats_.peak_bytes > 0) peak->Record(stats_.peak_bytes);
 }
 
-Relation Executor::ExecNode(const Plan& plan, const Database& db) {
+size_t Executor::OpenProfile(const Plan& plan, int depth) {
+  NodeProfile p;
+  p.label = NodeLabel(plan);
+  p.depth = depth;
+  stats_.profile.push_back(std::move(p));
+  return stats_.profile.size() - 1;
+}
+
+Relation Executor::ExecNode(const Plan& plan, const Database& db,
+                            int depth) {
   // Governed runs stop descending the moment the query is cancelled, past
   // its deadline, or carrying an error: subtrees return empty relations
-  // that ExecuteWithContext discards in favor of StopStatus().
+  // that Execute discards in favor of StopStatus().
   if (ctx_ != nullptr && ctx_->ShouldStop()) return Relation();
   Relation out;
   switch (plan.kind()) {
     case Plan::Kind::kLeaf: {
-      // Leaf scans materialize a copy of the base table; morsel-parallel
-      // row copy when a pool is available (slots are written by row
-      // index, so the output is identical either way).
-      const Relation& table = db.table(plan.rel_id());
-      if (pool_ == nullptr) {
-        out = table;
-        break;
-      }
-      out = Relation(table.schema());
-      out.mutable_rows().resize(table.rows().size());
-      MorselCursor cursor(table.NumRows(),
-                          options_.tuning.Clamped().morsel_rows);
-      pool_->RunOnWorkers([&](int) {
-        int64_t begin, end, morsel;
-        while (cursor.Next(&begin, &end, &morsel)) {
-          for (int64_t i = begin; i < end; ++i) {
-            out.mutable_rows()[static_cast<size_t>(i)] =
-                table.rows()[static_cast<size_t>(i)];
-          }
-        }
-      });
+      const size_t node = OpenProfile(plan, depth);
+      auto t0 = Clock::now();
+      out = ScanTable(db.table(plan.rel_id()), pool_.get(), options_.tuning);
+      stats_.profile[node].ms = MsSince(t0);
+      stats_.profile[node].rows = out.NumRows();
       break;
     }
     case Plan::Kind::kJoin:
-      out = ExecJoin(plan, db);
+      out = ExecJoin(plan, db, OpenProfile(plan, depth));
       break;
     case Plan::Kind::kComp:
-      out = ExecComp(plan, db);
+      out = ExecComp(plan, db, depth);
       break;
   }
   // Every plan node's materialized output is charged to the query tracker
   // as it comes into existence; the parent releases it once consumed.
   ChargeNodeOutput(out);
-  return out;
-}
-
-StatusOr<Relation> Executor::ExecuteWithContext(const Plan& plan,
-                                                const Database& db,
-                                                QueryContext* ctx) {
-  ECA_CHECK(ctx != nullptr);
-  TraceSpan span("execute");
-  if (span.active()) span.AppendArg("governed", "yes");
-  ctx_ = ctx;
-  ExecStats before = stats_;
-  Relation out = ExecNode(plan, db);
-  stats_.peak_bytes = ctx->tracker()->peak();
-  PublishStatsDelta(before);
-  if (ctx->ShouldStop()) {
-    Status s = ctx->StopStatus();
-    ctx_ = nullptr;
-    if (!s.ok()) return s;
-  }
-  // Release the root's charge (ctx_ must still be set — ReleaseNodeOutput
-  // is a no-op otherwise): the caller owns the result now and the tracker
-  // balance returns to zero on success (asserted in tests).
-  ReleaseNodeOutput(out);
-  ctx_ = nullptr;
   return out;
 }
 
@@ -187,9 +194,10 @@ void Executor::ReleaseNodeOutput(const Relation& rel) {
 }
 
 Relation Executor::ExecJoin(const Plan& plan, const Database& db,
-                            const FusedCompChain* fused) {
-  Relation left = ExecNode(*plan.left(), db);
-  Relation right = ExecNode(*plan.right(), db);
+                            size_t node, const FusedCompChain* fused) {
+  const int depth = stats_.profile[node].depth;
+  Relation left = ExecNode(*plan.left(), db, depth + 1);
+  Relation right = ExecNode(*plan.right(), db, depth + 1);
   if (ctx_ != nullptr && ctx_->ShouldStop()) return Relation();
   ++stats_.join_nodes;
   TraceSpan span("join");
@@ -204,8 +212,11 @@ Relation Executor::ExecJoin(const Plan& plan, const Database& db,
   Relation out = EvalJoin(plan.op(), plan.pred(), left, right,
                           options_.join_preference, &stats_, pool_.get(),
                           ctx_, &options_.tuning, fused);
-  stats_.join_ms += MsSince(t0);
+  const double ms = MsSince(t0);
+  stats_.join_ms += ms;
   stats_.rows_produced += out.NumRows();
+  stats_.profile[node].ms = ms;
+  stats_.profile[node].rows = out.NumRows();
   if (span.active()) {
     span.AppendArg("rows", static_cast<long long>(out.NumRows()));
   }
@@ -234,7 +245,8 @@ const char* CompSpanName(CompOp::Kind kind) {
 
 }  // namespace
 
-Relation Executor::ExecComp(const Plan& plan, const Database& db) {
+Relation Executor::ExecComp(const Plan& plan, const Database& db,
+                            int depth) {
   // Collect the maximal fusable stack of row-local compensation steps
   // rooted at this node: lambda and gamma always fuse; gamma* fuses only
   // as the top of the segment (its best-match half, beta, must run after
@@ -257,7 +269,8 @@ Relation Executor::ExecComp(const Plan& plan, const Database& db) {
     // Pipeline breaker at the top (beta or project): materialize the
     // child (recursively fusing below it) and run the breaker.
     const CompOp& c = plan.comp();
-    Relation child = ExecNode(*plan.child(), db);
+    const size_t node = OpenProfile(plan, depth);
+    Relation child = ExecNode(*plan.child(), db, depth + 1);
     if (ctx_ != nullptr && ctx_->ShouldStop()) return Relation();
     ++stats_.comp_nodes;
     TraceSpan span(CompSpanName(c.kind));
@@ -265,8 +278,11 @@ Relation Executor::ExecComp(const Plan& plan, const Database& db) {
     Relation out = c.kind == CompOp::Kind::kBeta
                        ? EvalBeta(child, ctx_, &stats_)
                        : EvalProject(c.attrs, child);
-    stats_.comp_ms += MsSince(t0);
+    const double ms = MsSince(t0);
+    stats_.comp_ms += ms;
     stats_.rows_produced += out.NumRows();
+    stats_.profile[node].ms = ms;
+    stats_.profile[node].rows = out.NumRows();
     if (span.active()) {
       span.AppendArg("rows", static_cast<long long>(out.NumRows()));
     }
@@ -276,11 +292,18 @@ Relation Executor::ExecComp(const Plan& plan, const Database& db) {
 
   // Compile the chain against the base's output schema (every fused step
   // is schema-preserving, so one schema serves the whole chain), deepest
-  // step first — the order the rows would have met the operators.
+  // step first — the order the rows would have met the operators. The
+  // profile lists the segment top-down, as the plan does.
   const bool gamma_star_top =
       fusable.front()->comp().kind == CompOp::Kind::kGammaStar;
+  const size_t top = stats_.profile.size();
+  for (size_t i = 0; i < fusable.size(); ++i) {
+    OpenProfile(*fusable[i], depth + static_cast<int>(i));
+  }
+  const int base_depth = depth + static_cast<int>(fusable.size());
   FusedCompChain chain;
-  Schema base_schema = PlanOutputSchema(*base, db);
+  if (base_schemas_.empty()) base_schemas_ = db.BaseSchemas();
+  Schema base_schema = PlanOutputSchema(*base, base_schemas_);
   for (auto it = fusable.rbegin(); it != fusable.rend(); ++it) {
     const CompOp& op = (*it)->comp();
     switch (op.kind) {
@@ -299,12 +322,16 @@ Relation Executor::ExecComp(const Plan& plan, const Database& db) {
   }
 
   Relation out;
+  double top_ms = 0;
+  size_t join_node = SIZE_MAX;
   if (base->kind() == Plan::Kind::kJoin) {
     // The chain rides the join's probe pipeline: every emitted row passes
-    // through it in place, no intermediate relation exists.
-    out = ExecJoin(*base, db, &chain);
+    // through it in place, no intermediate relation exists. Its time is
+    // the join's.
+    join_node = OpenProfile(*base, base_depth);
+    out = ExecJoin(*base, db, join_node, &chain);
   } else {
-    Relation base_rel = ExecNode(*base, db);
+    Relation base_rel = ExecNode(*base, db, base_depth);
     if (ctx_ != nullptr && ctx_->ShouldStop()) return Relation();
     TraceSpan span("comp/fused");
     if (span.active()) {
@@ -313,10 +340,23 @@ Relation Executor::ExecComp(const Plan& plan, const Database& db) {
     auto t0 = Clock::now();
     out = ApplyFusedChain(chain, base_rel, pool_.get(), ctx_,
                           &options_.tuning);
-    stats_.comp_ms += MsSince(t0);
+    top_ms = MsSince(t0);
+    stats_.comp_ms += top_ms;
     ReleaseNodeOutput(base_rel);
   }
   stats_.comp_nodes += static_cast<int64_t>(fusable.size());
+  // Each segment node's output: the chain's output plus what the gamma
+  // filters above it dropped (step k of the chain is fusable[n-1-k]).
+  // A node is fused when its step ran inside another node's loop: the
+  // join's probe, or the chain pass the segment's top node ran.
+  int64_t rows = out.NumRows();
+  for (size_t i = 0; i < fusable.size(); ++i) {
+    stats_.profile[top + i].rows = rows;
+    stats_.profile[top + i].fused = join_node != SIZE_MAX || i > 0;
+    rows += chain.dropped(static_cast<int>(fusable.size() - 1 - i));
+  }
+  // A join's own output is what entered the chain.
+  if (join_node != SIZE_MAX) stats_.profile[join_node].rows = rows;
 
   // gamma* at the segment top: its modify half ran fused above; the
   // best-match half is a pipeline breaker over the materialized result.
@@ -325,20 +365,24 @@ Relation Executor::ExecComp(const Plan& plan, const Database& db) {
     TraceSpan bspan("comp/beta");
     auto t0 = Clock::now();
     Relation bout = EvalBeta(out, ctx_, &stats_);
-    stats_.comp_ms += MsSince(t0);
+    const double ms = MsSince(t0);
+    stats_.comp_ms += ms;
+    top_ms += ms;
     if (bspan.active()) {
       bspan.AppendArg("rows", static_cast<long long>(bout.NumRows()));
     }
     out = std::move(bout);
+    stats_.profile[top].rows = out.NumRows();
   }
+  stats_.profile[top].ms = top_ms;
   stats_.rows_produced += out.NumRows();
   return out;
 }
 
 bool PlansEquivalentOn(const Plan& a, const Plan& b, const Database& db) {
   Executor ea, eb;
-  Relation ra = CanonicalizeColumnOrder(ea.Execute(a, db));
-  Relation rb = CanonicalizeColumnOrder(eb.Execute(b, db));
+  Relation ra = CanonicalizeColumnOrder(ea.Execute(a, db).value());
+  Relation rb = CanonicalizeColumnOrder(eb.Execute(b, db).value());
   return SameMultiset(ra, rb);
 }
 

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "algebra/plan.h"
 #include "common/status.h"
@@ -16,7 +18,19 @@ class ThreadPool;
 class QueryContext;
 class FusedCompChain;
 
-// Execution statistics accumulated over one Execute() call.
+// One plan node's entry in the execution profile (EXPLAIN ANALYZE).
+struct NodeProfile {
+  std::string label;  // operator rendering ("loj[p12]", "gamma{R1}", ...)
+  int depth = 0;      // nesting depth, 0 = plan root
+  int64_t rows = 0;   // output rows
+  double ms = 0;      // wall time of this node's own work, children excluded
+  // The node's per-row step ran inside another node's loop (a lambda /
+  // gamma / gamma*-modify chain fused into the join probe below it, or
+  // into the pass run by the chain's top node); that node's ms covers it.
+  bool fused = false;
+};
+
+// Execution statistics accumulated over Execute() calls.
 struct ExecStats {
   int64_t rows_produced = 0;   // total rows materialized across operators
   int64_t probe_comparisons = 0;
@@ -45,15 +59,22 @@ struct ExecStats {
   // misfired across joins).
   bool partition_stats_seeded = false;
 
-  // Resource-governor counters (ExecuteWithContext only; all zero for
-  // ungoverned runs). peak_bytes is the query tracker's high-water mark;
-  // the spill counters cover grace hash joins and external-sort
-  // compensation operators (docs/robustness.md, "Resource governor").
+  // Resource-governor counters (governed runs only; all zero when Execute
+  // runs without a QueryContext). peak_bytes is the query tracker's
+  // high-water mark; the spill counters cover grace hash joins and
+  // external-sort compensation operators (docs/robustness.md, "Resource
+  // governor").
   int64_t peak_bytes = 0;
   int64_t spilled_partitions = 0;  // grace-join leaf partitions probed
   int64_t spill_bytes = 0;         // serialized bytes written to temp files
   int64_t spill_read_bytes = 0;    // serialized bytes read back
   int64_t spilled_sort_runs = 0;   // external-sort runs spilled (beta/gamma*)
+
+  // The last Execute call's per-node profile, one entry per plan node in
+  // preorder (Plan::ToString()'s layout). Rows and times come from the
+  // run that produced the result, so they are the same at every thread
+  // count and tuning, spilled or not.
+  std::vector<NodeProfile> profile;
 
   void Reset() { *this = ExecStats(); }
 };
@@ -88,13 +109,14 @@ class Executor {
   explicit Executor(Options options);
   ~Executor();
 
-  // Evaluates `plan` bottom-up. Aborts on malformed plans (unresolved
-  // columns, schema mismatches) — plans coming out of the rewrite layer are
-  // well-formed by construction.
-  Relation Execute(const Plan& plan, const Database& db);
-
-  // Governed execution under `ctx`'s memory/deadline/cancellation contract
-  // (docs/robustness.md). Same plans, same results, three extra outcomes:
+  // Evaluates `plan` bottom-up, recording stats() and its per-node
+  // profile. Aborts on malformed plans (unresolved columns, schema
+  // mismatches) — plans coming out of the rewrite layer are well-formed
+  // by construction.
+  //
+  // A null `ctx` runs ungoverned and always succeeds. A non-null `ctx`
+  // governs the run by its memory/deadline/cancellation contract
+  // (docs/robustness.md): same plans, same results, three extra outcomes:
   //
   //  - memory pressure past the soft threshold escalates hash joins to the
   //    spilling grace join and beta/gamma* to external merge sort — the
@@ -105,29 +127,31 @@ class Executor {
   //
   // `ctx` must already be Arm()ed if a timeout is configured; it is
   // borrowed for the duration of the call only.
-  StatusOr<Relation> ExecuteWithContext(const Plan& plan, const Database& db,
-                                        QueryContext* ctx);
+  StatusOr<Relation> Execute(const Plan& plan, const Database& db,
+                             QueryContext* ctx = nullptr);
 
   const ExecStats& stats() const { return stats_; }
 
  private:
-  // Recursive evaluation body; the public entry points wrap it in an
-  // "execute" trace span and publish this call's ExecStats delta as
+  // Recursive evaluation body at nesting `depth`; Execute wraps it in an
+  // "execute" trace span and publishes this call's ExecStats delta as
   // exec.* metrics (docs/observability.md) once the tree is done.
-  Relation ExecNode(const Plan& plan, const Database& db);
+  Relation ExecNode(const Plan& plan, const Database& db, int depth);
   // Publishes stats_ minus `before` into MetricsRegistry::Global(), so a
   // registry diff around one Execute call matches stats() exactly.
   void PublishStatsDelta(const ExecStats& before) const;
   // `fused` (optional) is a chain of row-local compensation steps stacked
   // directly above the join in the plan; the join applies it per emitted
-  // row inside its probe pipeline.
-  Relation ExecJoin(const Plan& plan, const Database& db,
+  // row inside its probe pipeline. `node` is the join's profile entry.
+  Relation ExecJoin(const Plan& plan, const Database& db, size_t node,
                     const FusedCompChain* fused = nullptr);
   // Fusion dispatch: collects the maximal lambda/gamma/gamma*-modify
   // stack rooted at `plan` into a FusedCompChain and runs it inside the
   // base join's probe loop (or as one morsel pass over the materialized
   // base); beta and project are pipeline breakers and run standalone.
-  Relation ExecComp(const Plan& plan, const Database& db);
+  Relation ExecComp(const Plan& plan, const Database& db, int depth);
+  // Appends `plan`'s profile entry; returns its index.
+  size_t OpenProfile(const Plan& plan, int depth);
   // Charges `rel`'s rows to the query tracker as the durable output of a
   // plan node; records the error on failure. No-op when ungoverned.
   void ChargeNodeOutput(const Relation& rel);
@@ -136,7 +160,8 @@ class Executor {
   Options options_;
   ExecStats stats_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
-  QueryContext* ctx_ = nullptr;  // non-null only inside ExecuteWithContext
+  QueryContext* ctx_ = nullptr;  // non-null only inside a governed Execute
+  std::vector<Schema> base_schemas_;  // the Database's, once per Execute
 };
 
 // --- Operator building blocks (exposed for unit tests and benches) --------
@@ -169,16 +194,11 @@ Relation EvalJoin(JoinOp op, const PredRef& pred, const Relation& left,
 Relation EvalJoinNaive(JoinOp op, const PredRef& pred, const Relation& left,
                        const Relation& right);
 
-// Output schema of `op` over the two input schemas (semi/anti joins keep
-// one side, everything else concatenates).
-Schema JoinOutputSchema(JoinOp op, const Schema& left, const Schema& right);
-
 // lambda_{p,A}: NULLs the columns of relations in `attrs` for every tuple
-// on which `pred` does not evaluate to true. Morsel-parallel when a pool
-// is given (morsel-ordered assembly keeps the output order identical).
-Relation EvalLambda(const PredRef& pred, RelSet attrs, const Relation& in,
-                    ThreadPool* pool = nullptr, QueryContext* ctx = nullptr,
-                    const ExecTuning* tuning = nullptr);
+// on which `pred` does not evaluate to true. A one-step FusedCompChain
+// (exec/fused_comp.h) applied sequentially; the executor runs the same
+// step fused into the join probe below it.
+Relation EvalLambda(const PredRef& pred, RelSet attrs, const Relation& in);
 
 // beta: removes spurious (dominated or duplicated) tuples. Exact
 // per-attribute semantics via null-pattern grouping; near-linear when the
@@ -214,19 +234,13 @@ Relation EvalBetaNaive(const Relation& in);
 Relation EvalBetaSorted(const Relation& in);
 
 // gamma_A: keeps tuples whose attributes of relations in `attrs` are all
-// NULL (Equation 7). Morsel-parallel when a pool is given.
-Relation EvalGamma(RelSet attrs, const Relation& in,
-                   ThreadPool* pool = nullptr, QueryContext* ctx = nullptr,
-                   const ExecTuning* tuning = nullptr);
+// NULL (Equation 7). A one-step FusedCompChain applied sequentially.
+Relation EvalGamma(RelSet attrs, const Relation& in);
 
 // gamma*_{A(B)}: Equation 8 — tuples with all-NULL A pass unchanged; other
 // tuples get every attribute outside `keep` NULLed; beta removes spurious
-// tuples. The modification scan is row-parallel when a pool is given; the
-// best-match stage is inherently sequential.
-Relation EvalGammaStar(RelSet attrs, RelSet keep, const Relation& in,
-                       ThreadPool* pool = nullptr, QueryContext* ctx = nullptr,
-                       ExecStats* stats = nullptr,
-                       const ExecTuning* tuning = nullptr);
+// tuples. The modify half is a one-step FusedCompChain, then EvalBeta.
+Relation EvalGammaStar(RelSet attrs, RelSet keep, const Relation& in);
 
 // pi_A at relation granularity.
 Relation EvalProject(RelSet attrs, const Relation& in);

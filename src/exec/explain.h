@@ -4,32 +4,17 @@
 #include <string>
 #include <vector>
 
-#include "algebra/plan.h"
-#include "exec/database.h"
 #include "exec/executor.h"
 
 namespace eca {
 
-// Per-operator execution profile collected by ExplainAnalyze.
-struct NodeProfile {
-  int depth = 0;
-  std::string label;   // operator rendering ("loj[p12]", "gamma{R1}", ...)
-  int64_t rows = 0;    // output rows
-  double millis = 0;   // time in this operator (children excluded)
-};
-
-// Executes `plan` while timing every operator and counting its output.
-// The profiles are in preorder (matching Plan::ToString()'s layout).
-std::vector<NodeProfile> ProfilePlan(
-    const Plan& plan, const Database& db,
-    Executor::JoinPreference pref = Executor::JoinPreference::kHash);
-
-// EXPLAIN ANALYZE rendering: the plan tree annotated with actual rows and
-// per-operator time. Handy for understanding where a compensated plan
-// spends its work (e.g. the best-match sort after a generalized outerjoin).
-std::string ExplainAnalyze(
-    const Plan& plan, const Database& db,
-    Executor::JoinPreference pref = Executor::JoinPreference::kHash);
+// EXPLAIN ANALYZE rendering of an execution profile (ExecStats::profile,
+// recorded by the Executor run that produced the result): the plan tree
+// annotated with actual rows and per-operator time. Handy for
+// understanding where a compensated plan spends its work (e.g. the
+// best-match sort after a generalized outerjoin). Nodes whose step ran
+// fused into another node's loop are marked "(fused)".
+std::string ExplainAnalyze(const std::vector<NodeProfile>& profile);
 
 }  // namespace eca
 

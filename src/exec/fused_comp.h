@@ -1,6 +1,8 @@
 #ifndef ECA_EXEC_FUSED_COMP_H_
 #define ECA_EXEC_FUSED_COMP_H_
 
+#include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "algebra/comp_op.h"
@@ -42,8 +44,17 @@ class FusedCompChain {
   int num_steps() const { return static_cast<int>(steps_.size()); }
 
   // Applies the chain to `t` in place; false when a gamma filter drops
-  // the row. Thread-safe (const; all per-row state lives in `t`).
+  // the row. Thread-safe (const; all per-row state lives in `t`, and the
+  // drop tally below is atomic).
   bool Apply(Tuple* t) const;
+
+  // Rows step `step` (in Add order) dropped across every Apply so far;
+  // only gamma filters drop. Together with the chain's output row count
+  // this gives each fused plan node its exact output rows.
+  int64_t dropped(int step) const {
+    int64_t& n = steps_[static_cast<size_t>(step)].dropped;
+    return std::atomic_ref<int64_t>(n).load(std::memory_order_relaxed);
+  }
 
  private:
   struct Step {
@@ -53,6 +64,9 @@ class FusedCompChain {
     std::vector<int> null_cols;      // columns to NULL (lambda / gamma*)
     std::vector<DataType> null_types;
     std::vector<int> check_cols;     // all-NULL test columns (gamma/gamma*)
+    // Rows this gamma filter dropped; updated through std::atomic_ref, as
+    // probe workers apply the chain concurrently.
+    mutable int64_t dropped = 0;
   };
   std::vector<Step> steps_;
 };

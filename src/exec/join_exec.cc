@@ -1089,19 +1089,6 @@ Relation SortMergeJoin(JoinOp op, const std::vector<EquiKey>& keys,
 
 }  // namespace
 
-Schema JoinOutputSchema(JoinOp op, const Schema& left, const Schema& right) {
-  switch (op) {
-    case JoinOp::kLeftSemi:
-    case JoinOp::kLeftAnti:
-      return left;
-    case JoinOp::kRightSemi:
-    case JoinOp::kRightAnti:
-      return right;
-    default:
-      return left.Concat(right);
-  }
-}
-
 Relation EvalJoinNaive(JoinOp op, const PredRef& pred, const Relation& left,
                        const Relation& right) {
   return NestedLoopJoin(op, pred, left, right, nullptr);

@@ -86,8 +86,8 @@ ProbeResult ClassifyTransform(TransformType t, JoinOp a, JoinOp b, int trials,
     PlanPtr lhs = BuildTransformLHS(t, a, b, p_a, p_b);
     PlanPtr rhs = BuildTransformRHS(t, a, b, p_a, p_b);
     Executor el, er;
-    Relation rl = CanonicalizeColumnOrder(el.Execute(*lhs, db));
-    Relation rr = CanonicalizeColumnOrder(er.Execute(*rhs, db));
+    Relation rl = CanonicalizeColumnOrder(el.Execute(*lhs, db).value());
+    Relation rr = CanonicalizeColumnOrder(er.Execute(*rhs, db).value());
     ++result.trials_run;
     if (!SameMultiset(rl, rr)) {
       result.validity = Validity::kInvalid;

@@ -77,9 +77,6 @@ StatusOr<Admission> AdmissionController::Admit(int64_t commit_bytes,
     committed_bytes_ += commit_bytes;
     counters.admitted->Increment();
     counters.queue_wait_ms->Record(0);
-    granted.degrade_plan = config_.degrade_below_ms > 0 &&
-                           remaining_deadline_ms > 0 &&
-                           remaining_deadline_ms < config_.degrade_below_ms;
     return granted;
   }
 
@@ -160,11 +157,7 @@ StatusOr<Admission> AdmissionController::Admit(int64_t commit_bytes,
   committed_bytes_ += commit_bytes;
   counters.admitted->Increment();
   counters.queue_wait_ms->Record(waited_ms);
-  const int64_t remaining_now =
-      has_deadline ? remaining_deadline_ms - waited_ms : 0;
   granted.queue_wait_ms = waited_ms;
-  granted.degrade_plan = config_.degrade_below_ms > 0 && has_deadline &&
-                         remaining_now < config_.degrade_below_ms;
   return granted;
 }
 

@@ -28,11 +28,11 @@ namespace eca {
 // Queued work is deadline-aware: a waiter whose remaining deadline can no
 // longer cover its estimated runtime (`est_run_ms`) is rejected early with
 // kResourceExhausted instead of being admitted just to blow its deadline
-// mid-execution. Admission also decides the degraded-planning bit: a
-// query admitted with less than `degrade_below_ms` of deadline left is
-// told to plan with the sizes-only fallback
-// (Optimizer::Options::sizes_only_fallback_ms) so every remaining
-// millisecond goes to execution.
+// mid-execution. A query's deadline runs from its arrival: the session
+// arms the query's context with the deadline minus its queue wait, so a
+// query admitted with less than `degrade_below_ms` of it left plans with
+// the sizes-only fallback (Optimizer::Options::sizes_only_fallback_ms)
+// and every remaining millisecond goes to execution.
 //
 // BeginDrain() flips the controller into shutdown mode: every queued
 // waiter wakes with kUnavailable and new arrivals are rejected the same
@@ -52,8 +52,9 @@ struct AdmissionConfig {
   // <= 0 disables the early reject (waiters still time out at their
   // deadline itself).
   int64_t est_run_ms = 0;
-  // Remaining deadline below this at admission time => advise degraded
-  // (sizes-only) planning; <= 0 disables.
+  // Remaining deadline below this when planning starts => degraded
+  // (sizes-only) planning; <= 0 disables. The session hands it to the
+  // optimizer as sizes_only_fallback_ms.
   int64_t degrade_below_ms = 0;
 };
 
@@ -61,9 +62,6 @@ struct AdmissionConfig {
 struct Admission {
   int64_t commit_bytes = 0;
   int64_t queue_wait_ms = 0;
-  // Plan with the sizes-only fallback: the deadline is too tight for DP
-  // enumeration (AdmissionConfig::degrade_below_ms).
-  bool degrade_plan = false;
 };
 
 class AdmissionController {

@@ -1,5 +1,7 @@
 #include "service/session.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <utility>
 
@@ -41,7 +43,12 @@ void CancelRegistry::Register(CancelToken* token) {
     tokens_.insert(token);
     cancel_now = cancel_all_;
   }
-  if (cancel_now) token->Cancel();
+  // A query admitted just before the drain registers after CancelAll ran:
+  // it is cancelled (and counted as drained) here instead.
+  if (cancel_now) {
+    token->Cancel();
+    Counters().drained->Increment();
+  }
 }
 
 void CancelRegistry::Unregister(CancelToken* token) {
@@ -207,7 +214,13 @@ WireMessage ServiceState::HandleQuery(const WireMessage& request) {
     // is released, so an admitted successor never sees leftovers.
     QueryContext::Limits limits;
     limits.mem_limit_bytes = mem_limit_bytes;
-    limits.timeout_ms = *timeout_ms;
+    // The deadline runs from arrival, as admission counted it: the time
+    // spent queued is already gone. The 1ms floor keeps a given deadline
+    // from turning into none (timeout_ms <= 0).
+    if (*timeout_ms > 0) {
+      limits.timeout_ms =
+          std::max<int64_t>(*timeout_ms - admitted->queue_wait_ms, 1);
+    }
     limits.spill_dir = options_.spill_dir;
     limits.parent_tracker = &root_;
     QueryContext ctx(limits);
@@ -222,12 +235,10 @@ WireMessage ServiceState::HandleQuery(const WireMessage& request) {
     opts.plan_cache = plan_cache_.get();
     Optimizer opt{opts};
 
-    // The admission verdict can force degraded planning outright (the
-    // queue ate the deadline); otherwise OptimizeGoverned re-checks the
-    // remaining time itself.
-    Optimizer::Optimized best = admitted->degrade_plan
-                                    ? opt.OptimizeSizesOnly(*plan, *db_)
-                                    : opt.OptimizeGoverned(*plan, *db_, &ctx);
+    // With the queue wait taken off the deadline, OptimizeGoverned sees
+    // the clock admission saw and degrades to sizes-only planning itself
+    // when less than degrade_below_ms is left.
+    Optimizer::Optimized best = opt.OptimizeGoverned(*plan, *db_, &ctx);
     if (best.stats.degraded) Counters().degraded->Increment();
 
     ExecStats exec_stats;

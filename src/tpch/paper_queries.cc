@@ -96,7 +96,7 @@ double MeasureF12(const Database& db, double nu) {
   PlanPtr anti = Plan::Join(JoinOp::kLeftAnti, PredP12(nu),
                             Plan::Leaf(kSupplier), Plan::Leaf(kPartsupp));
   Executor ex;
-  Relation out = ex.Execute(*anti, db);
+  Relation out = ex.Execute(*anti, db).value();
   int64_t total = db.table(kSupplier).NumRows();
   return total == 0 ? 0.0
                     : static_cast<double>(out.NumRows()) /

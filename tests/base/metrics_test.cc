@@ -164,7 +164,7 @@ TEST(RegistryConsistencyTest, ExecutorDeltaMatchesExecStats) {
 
   Executor ex;
   MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
-  Relation result = ex.Execute(*query, db);
+  Relation result = ex.Execute(*query, db).value();
   MetricsSnapshot diff = MetricsRegistry::Global().Snapshot().DiffSince(before);
 
   const ExecStats& s = ex.stats();

@@ -1,5 +1,6 @@
-// Tests for the validating Optimizer entry points: malformed user input
-// must come back as Status errors, never aborts.
+// The validating front door for user-supplied plans: ValidatePlanStatus
+// turns malformed input into Status errors before the optimizer or the
+// executor (which CHECK-fail on it) ever see it.
 
 #include <gtest/gtest.h>
 
@@ -29,14 +30,17 @@ TEST(CheckedApiTest, ValidQueryOptimizesAndExecutes) {
       Plan::Join(JoinOp::kInner, EquiJoin(1, "b", 2, "b", "p12"),
                  Plan::Leaf(1), Plan::Leaf(2)),
       Plan::Leaf(0));
+  ASSERT_TRUE(ValidatePlanStatus(*q, db.BaseSchemas()).ok());
   Optimizer opt;
-  auto best = opt.OptimizeChecked(*q, db);
-  ASSERT_TRUE(best.ok()) << best.status().ToString();
-  auto direct = opt.ExecuteChecked(*q, db);
-  auto optimized = opt.ExecuteChecked(*best->plan, db);
-  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
-  ExpectSameRelation(*direct, *optimized, "checked round trip");
+  auto best = opt.Optimize(*q, db);
+  // Optimizer output validates too (Yannakakis reducers may repeat a
+  // relation inside a pruning side).
+  ValidateOptions vopts;
+  vopts.allow_hidden_duplicates = true;
+  Status valid = ValidatePlanStatus(*best.plan, db.BaseSchemas(), vopts);
+  ASSERT_TRUE(valid.ok()) << valid.ToString();
+  ExpectSameRelation(opt.Execute(*q, db), opt.Execute(*best.plan, db),
+                     "validated round trip");
 }
 
 TEST(CheckedApiTest, LeafOutsideDatabaseIsInvalidArgument) {
@@ -44,39 +48,37 @@ TEST(CheckedApiTest, LeafOutsideDatabaseIsInvalidArgument) {
   // R7 does not exist in a 2-table database.
   PlanPtr q = Plan::Join(JoinOp::kInner, EquiJoin(0, "a", 7, "a", "p07"),
                          Plan::Leaf(0), Plan::Leaf(7));
-  Optimizer opt;
-  auto best = opt.OptimizeChecked(*q, db);
-  ASSERT_FALSE(best.ok());
-  EXPECT_EQ(best.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(best.status().message().find("rel_id 7"), std::string::npos)
-      << best.status().ToString();
+  Status valid = ValidatePlanStatus(*q, db.BaseSchemas());
+  ASSERT_FALSE(valid.ok());
+  EXPECT_EQ(valid.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(valid.message().find("rel_id 7"), std::string::npos)
+      << valid.ToString();
 }
 
 TEST(CheckedApiTest, DuplicateLeafIsInvalidArgument) {
   Database db = SmallDb(2);
   PlanPtr q = Plan::Join(JoinOp::kInner, EquiJoin(0, "a", 0, "b", "p00"),
                          Plan::Leaf(0), Plan::Leaf(0));
-  Optimizer opt;
-  auto best = opt.OptimizeChecked(*q, db);
-  ASSERT_FALSE(best.ok());
-  EXPECT_NE(best.status().message().find("more than one leaf"),
-            std::string::npos)
-      << best.status().ToString();
+  Status valid = ValidatePlanStatus(*q, db.BaseSchemas());
+  ASSERT_FALSE(valid.ok());
+  EXPECT_NE(valid.message().find("more than one leaf"), std::string::npos)
+      << valid.ToString();
 }
 
 TEST(CheckedApiTest, UnknownColumnIsReportedWithCandidates) {
   Database db = SmallDb(2);
   // Column "zz" exists in no relation; execution would abort on the
-  // unresolved column, so validation must catch it first.
+  // unresolved column, so validation must catch it first — with the
+  // relaxed options an optimized plan is checked under, too.
   PlanPtr q = Plan::Join(JoinOp::kInner, EquiJoin(0, "zz", 1, "a", "p01"),
                          Plan::Leaf(0), Plan::Leaf(1));
-  Optimizer opt;
-  auto best = opt.OptimizeChecked(*q, db);
-  ASSERT_FALSE(best.ok());
-  EXPECT_NE(best.status().message().find("R0.zz"), std::string::npos)
-      << best.status().ToString();
-  auto run = opt.ExecuteChecked(*q, db);
-  EXPECT_FALSE(run.ok());
+  Status valid = ValidatePlanStatus(*q, db.BaseSchemas());
+  ASSERT_FALSE(valid.ok());
+  EXPECT_NE(valid.message().find("R0.zz"), std::string::npos)
+      << valid.ToString();
+  ValidateOptions vopts;
+  vopts.allow_hidden_duplicates = true;
+  EXPECT_FALSE(ValidatePlanStatus(*q, db.BaseSchemas(), vopts).ok());
 }
 
 TEST(CheckedApiTest, HiddenPredicateReferenceIsInvalidArgument) {
@@ -84,8 +86,7 @@ TEST(CheckedApiTest, HiddenPredicateReferenceIsInvalidArgument) {
   // p02 references R2, which is not visible under this join.
   PlanPtr q = Plan::Join(JoinOp::kInner, EquiJoin(0, "a", 2, "a", "p02"),
                          Plan::Leaf(0), Plan::Leaf(1));
-  Optimizer opt;
-  EXPECT_FALSE(opt.OptimizeChecked(*q, db).ok());
+  EXPECT_FALSE(ValidatePlanStatus(*q, db.BaseSchemas()).ok());
 }
 
 TEST(CheckedApiTest, ParseApproachNamesAndErrors) {
@@ -111,8 +112,7 @@ TEST(CheckedApiTest, ParserAndValidatorComposeWithoutAborting) {
 
   PlanPtr dup = ParsePlan("(R0 join[p01] R0)", preds, &error);
   if (dup != nullptr) {
-    Optimizer opt;
-    EXPECT_FALSE(opt.OptimizeChecked(*dup, db).ok());
+    EXPECT_FALSE(ValidatePlanStatus(*dup, db.BaseSchemas()).ok());
   }
 }
 

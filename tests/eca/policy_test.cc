@@ -87,18 +87,35 @@ TEST(PolicyOptimizeTest, DeliberatePoliciesAreNotFlaggedDegraded) {
   }
 }
 
-// In contrast, OptimizeSizesOnly is the degraded path (deadline/admission
+// In contrast, a governed query whose remaining deadline is below
+// sizes_only_fallback_ms takes the degraded path (deadline/admission
 // fallback): same ordering, but flagged, with the fallback trigger.
-TEST(PolicyOptimizeTest, OptimizeSizesOnlyIsTheDegradedPath) {
+TEST(PolicyOptimizeTest, DeadlineSqueezedSizesOnlyIsTheDegradedPath) {
   Workload w = MakeWorkload(Topology::kChain, 5, 4);
-  Optimizer opt;
-  auto best = opt.OptimizeSizesOnly(*w.query, w.db);
+  Optimizer::Options opts;
+  opts.sizes_only_fallback_ms = 60000;
+  Optimizer opt(opts);
+  QueryContext::Limits limits;
+  limits.timeout_ms = 30000;  // below the fallback threshold
+  QueryContext ctx(limits);
+  ctx.Arm();
+  auto best = opt.OptimizeGoverned(*w.query, w.db, &ctx);
   EXPECT_TRUE(best.stats.degraded);
   EXPECT_EQ(best.stats.trigger, BudgetTrigger::kSizesOnlyFallback);
   EXPECT_EQ(best.provenance.policy, "sizes-only");
+  EXPECT_NE(best.provenance.policy_note.find("degraded to sizes-only"),
+            std::string::npos)
+      << best.provenance.policy_note;
   Relation direct = opt.Execute(*w.query, w.db);
   Relation got = opt.Execute(*best.plan, w.db);
   ExpectSameRelation(direct, got, "degraded sizes-only");
+
+  // The same query with room to spare plans with DP, undegraded.
+  QueryContext::Limits roomy;
+  roomy.timeout_ms = 600000;
+  QueryContext roomy_ctx(roomy);
+  roomy_ctx.Arm();
+  EXPECT_FALSE(opt.OptimizeGoverned(*w.query, w.db, &roomy_ctx).stats.degraded);
 }
 
 // The greedy gate: at or below max_join_size the policy defers to DP (and

@@ -12,9 +12,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "eca/optimizer.h"
 #include "exec/executor.h"
-#include "exec/iterator_exec.h"
+#include "exec/fused_comp.h"
 #include "exec/query_context.h"
 #include "storage/relation.h"
 #include "storage/spill_file.h"
@@ -136,11 +137,15 @@ TEST(GovernorSpillTest, CompensationOpsSpilledByteIdentical) {
     EXPECT_GT(stats.spilled_sort_runs, 0);
     EXPECT_EQ(ctx.tracker()->used(), 0);
   }
+  // lambda and gamma run as fused chains: a governed, pooled chain pass
+  // must match the sequential operator byte for byte.
+  ThreadPool pool(4);
   {
     QueryContext ctx(SpillEverythingLimits());
-    Relation governed =
-        EvalLambda(EquiJoin(0, "b", 1, "b"), RelSet::Single(1), joined,
-                   /*pool=*/nullptr, &ctx);
+    FusedCompChain chain;
+    chain.AddLambda(EquiJoin(0, "b", 1, "b"), RelSet::Single(1),
+                    joined.schema());
+    Relation governed = ApplyFusedChain(chain, joined, &pool, &ctx, nullptr);
     ASSERT_FALSE(ctx.HasError());
     ExpectIdentical(EvalLambda(EquiJoin(0, "b", 1, "b"), RelSet::Single(1),
                                joined),
@@ -148,23 +153,34 @@ TEST(GovernorSpillTest, CompensationOpsSpilledByteIdentical) {
   }
   {
     QueryContext ctx(SpillEverythingLimits());
-    Relation governed = EvalGamma(RelSet::Single(1), joined,
-                                  /*pool=*/nullptr, &ctx);
+    FusedCompChain chain;
+    chain.AddGamma(RelSet::Single(1), joined.schema());
+    Relation governed = ApplyFusedChain(chain, joined, &pool, &ctx, nullptr);
     ASSERT_FALSE(ctx.HasError());
     ExpectIdentical(EvalGamma(RelSet::Single(1), joined), governed,
                     "governed gamma");
   }
   {
+    // gamma* as a plan: its modify half fused into the join's probe, its
+    // best-match half sorted externally.
+    Database db;
+    db.Add(left);
+    db.Add(right);
+    PlanPtr plan = Plan::Comp(
+        CompOp::GammaStar(RelSet::Single(1), RelSet::Single(0)),
+        Plan::Join(JoinOp::kLeftOuter, EquiJoin(0, "a", 1, "a"),
+                   Plan::Leaf(0), Plan::Leaf(1)));
     QueryContext ctx(SpillEverythingLimits());
-    ExecStats stats;
-    Relation governed =
-        EvalGammaStar(RelSet::Single(1), RelSet::Single(0), joined,
-                      /*pool=*/nullptr, &ctx, &stats);
-    ASSERT_FALSE(ctx.HasError()) << ctx.StopStatus().ToString();
+    Executor::Options opts;
+    opts.num_threads = 4;
+    Executor ex(opts);
+    StatusOr<Relation> governed = ex.Execute(*plan, db, &ctx);
+    ASSERT_TRUE(governed.ok()) << governed.status().ToString();
     ExpectIdentical(EvalGammaStar(RelSet::Single(1), RelSet::Single(0),
                                   joined),
-                    governed, "governed gamma*");
-    EXPECT_GT(stats.spilled_sort_runs, 0);  // gamma*'s best-match spilled
+                    *governed, "governed gamma*");
+    EXPECT_GT(ex.stats().spilled_sort_runs, 0);  // gamma*'s best-match spilled
+    EXPECT_EQ(ctx.tracker()->used(), 0);
   }
 }
 
@@ -183,18 +199,20 @@ TEST(GovernorSpillTest, GovernedPlansMatchUngovernedAndBalance) {
     auto best = Optimizer().Optimize(*query, db);
     ASSERT_NE(best.plan, nullptr);
 
-    Executor plain;
-    Relation expected = plain.Execute(*best.plan, db);
+    // The optimized plan, and the query as written.
+    for (const Plan* plan : {best.plan.get(), query.get()}) {
+      Executor plain;
+      Relation expected = plain.Execute(*plan, db).value();
 
-    QueryContext ctx(SpillEverythingLimits());
-    Executor governed;
-    StatusOr<Relation> got = governed.ExecuteWithContext(*best.plan, db,
-                                                         &ctx);
-    ASSERT_TRUE(got.ok()) << "seed " << seed << ": "
-                          << got.status().ToString();
-    ExpectIdentical(expected, *got, "seed " + std::to_string(seed));
-    EXPECT_EQ(ctx.tracker()->used(), 0) << "seed " << seed;
-    EXPECT_GT(governed.stats().peak_bytes, 0) << "seed " << seed;
+      QueryContext ctx(SpillEverythingLimits());
+      Executor governed;
+      StatusOr<Relation> got = governed.Execute(*plan, db, &ctx);
+      ASSERT_TRUE(got.ok()) << "seed " << seed << ": "
+                            << got.status().ToString();
+      ExpectIdentical(expected, *got, "seed " + std::to_string(seed));
+      EXPECT_EQ(ctx.tracker()->used(), 0) << "seed " << seed;
+      EXPECT_GT(governed.stats().peak_bytes, 0) << "seed " << seed;
+    }
   }
 }
 
@@ -210,7 +228,7 @@ TEST(GovernorLimitTest, HardLimitUnwindsWithResourceExhausted) {
   limits.mem_limit_bytes = 64 << 10;  // far below the join's output
   QueryContext ctx(limits);
   Executor ex;
-  StatusOr<Relation> got = ex.ExecuteWithContext(*plan, db, &ctx);
+  StatusOr<Relation> got = ex.Execute(*plan, db, &ctx);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted)
       << got.status().ToString();
@@ -232,7 +250,7 @@ TEST(GovernorLimitTest, DeadlineUnwindsWithDeadlineExceeded) {
   QueryContext ctx(limits);
   ctx.Arm();
   Executor ex;
-  StatusOr<Relation> got = ex.ExecuteWithContext(*query, db, &ctx);
+  StatusOr<Relation> got = ex.Execute(*query, db, &ctx);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded)
       << got.status().ToString();
@@ -265,7 +283,7 @@ TEST(GovernorLimitTest, DeadlineObservedAtMorselBoundariesInFusedPipeline) {
   Executor::Options opts;
   opts.tuning.morsel_rows = 1;  // a check per row: the tightest granularity
   Executor ex(opts);
-  StatusOr<Relation> got = ex.ExecuteWithContext(*plan, db, &ctx);
+  StatusOr<Relation> got = ex.Execute(*plan, db, &ctx);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded)
       << got.status().ToString();
@@ -291,7 +309,7 @@ TEST(GovernorLimitTest, CancelMidMorselUnwindsCleanly) {
     Executor::Options opts;
     opts.tuning.morsel_rows = 8;
     Executor ex(opts);
-    StatusOr<Relation> got = ex.ExecuteWithContext(*plan, db, &ctx);
+    StatusOr<Relation> got = ex.Execute(*plan, db, &ctx);
     ASSERT_FALSE(got.ok()) << "skip " << skip;
     EXPECT_EQ(got.status().code(), StatusCode::kCancelled) << "skip " << skip;
   }
@@ -299,18 +317,20 @@ TEST(GovernorLimitTest, CancelMidMorselUnwindsCleanly) {
 }
 
 TEST(GovernorLimitTest, CancellationUnwindsWithCancelled) {
-  Rng rng(43);
-  RandomDataOptions dopts;
-  Database db = RandomDatabase(rng, 3, dopts);
-  RandomQueryOptions qopts;
-  qopts.num_rels = 3;
-  PlanPtr query = RandomQuery(rng, qopts, dopts);
-  QueryContext ctx;
-  ctx.cancel_token()->Cancel();
-  Executor ex;
-  StatusOr<Relation> got = ex.ExecuteWithContext(*query, db, &ctx);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kCancelled);
+  for (uint64_t seed : {43, 59}) {
+    Rng rng(seed);
+    RandomDataOptions dopts;
+    Database db = RandomDatabase(rng, 3, dopts);
+    RandomQueryOptions qopts;
+    qopts.num_rels = 3;
+    PlanPtr query = RandomQuery(rng, qopts, dopts);
+    QueryContext ctx;
+    ctx.cancel_token()->Cancel();
+    Executor ex;
+    StatusOr<Relation> got = ex.Execute(*query, db, &ctx);
+    ASSERT_FALSE(got.ok()) << "seed " << seed;
+    EXPECT_EQ(got.status().code(), StatusCode::kCancelled) << "seed " << seed;
+  }
 }
 
 // kCancelRace flips the token from inside a governor probe mid-execution —
@@ -328,7 +348,7 @@ TEST(GovernorLimitTest, InjectedCancelRaceUnwindsCleanly) {
     ScopedFault fault(FaultPoint::kCancelRace, skip);
     QueryContext ctx(SpillEverythingLimits());
     Executor ex;
-    StatusOr<Relation> got = ex.ExecuteWithContext(*plan, db, &ctx);
+    StatusOr<Relation> got = ex.Execute(*plan, db, &ctx);
     ASSERT_FALSE(got.ok()) << "skip " << skip;
     EXPECT_EQ(got.status().code(), StatusCode::kCancelled) << "skip " << skip;
   }
@@ -350,7 +370,7 @@ TEST(GovernorLimitTest, InjectedAllocationFaultUnwindsCleanly) {
     limits.mem_limit_bytes = int64_t{1} << 30;
     QueryContext ctx(limits);
     Executor ex;
-    StatusOr<Relation> got = ex.ExecuteWithContext(*plan, db, &ctx);
+    StatusOr<Relation> got = ex.Execute(*plan, db, &ctx);
     ASSERT_FALSE(got.ok()) << "skip " << skip;
     EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted)
         << "skip " << skip << ": " << got.status().ToString();
@@ -383,7 +403,7 @@ TEST(GovernorLimitTest, SpillIoFaultFailsCleanlyWithoutOrphanFiles) {
       limits.spill_dir = base;
       QueryContext ctx(limits);
       Executor ex;
-      StatusOr<Relation> got = ex.ExecuteWithContext(*plan, db, &ctx);
+      StatusOr<Relation> got = ex.Execute(*plan, db, &ctx);
       ASSERT_FALSE(got.ok()) << "skip " << skip;
       EXPECT_EQ(got.status().code(), StatusCode::kDataLoss)
           << "skip " << skip << ": " << got.status().ToString();
@@ -429,7 +449,7 @@ TEST(GovernorLimitTest, SpillIoVariantFaultsFailCleanlyWithoutOrphans) {
         limits.spill_dir = base;
         QueryContext ctx(limits);
         Executor ex;
-        StatusOr<Relation> got = ex.ExecuteWithContext(*plan, db, &ctx);
+        StatusOr<Relation> got = ex.Execute(*plan, db, &ctx);
         ASSERT_FALSE(got.ok())
             << FaultVariantName(variant) << " skip " << skip;
         EXPECT_EQ(got.status().code(), StatusCode::kDataLoss)
@@ -519,38 +539,6 @@ TEST(GovernorLimitTest, SpillShortWritePhysicallyTearsTheRecord) {
   fs::remove_all(dir, ec);
 }
 
-// The pull (iterator) engine honors the same contract at its single
-// materialization point.
-TEST(GovernorPullTest, GovernedPullMatchesUngovernedPull) {
-  Rng rng(53);
-  RandomDataOptions dopts;
-  dopts.max_rows = 16;
-  Database db = RandomDatabase(rng, 3, dopts);
-  RandomQueryOptions qopts;
-  qopts.num_rels = 3;
-  PlanPtr query = RandomQuery(rng, qopts, dopts);
-  Relation expected = ExecutePull(*query, db);
-  QueryContext ctx(SpillEverythingLimits());
-  StatusOr<Relation> got = ExecutePullGoverned(*query, db, &ctx);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectIdentical(expected, *got, "governed pull");
-  EXPECT_EQ(ctx.tracker()->used(), 0);
-}
-
-TEST(GovernorPullTest, GovernedPullObservesCancellation) {
-  Rng rng(59);
-  RandomDataOptions dopts;
-  Database db = RandomDatabase(rng, 3, dopts);
-  RandomQueryOptions qopts;
-  qopts.num_rels = 3;
-  PlanPtr query = RandomQuery(rng, qopts, dopts);
-  QueryContext ctx;
-  ctx.cancel_token()->Cancel();
-  StatusOr<Relation> got = ExecutePullGoverned(*query, db, &ctx);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kCancelled);
-}
-
 // Parallel governed execution must stay byte-identical to sequential
 // governed execution (the PR 2 invariant extended to the spill paths).
 TEST(GovernorSpillTest, ThreadedGovernedExecutionIdentical) {
@@ -566,7 +554,7 @@ TEST(GovernorSpillTest, ThreadedGovernedExecutionIdentical) {
 
   QueryContext seq_ctx(SpillEverythingLimits());
   Executor seq;
-  StatusOr<Relation> seq_out = seq.ExecuteWithContext(*best.plan, db,
+  StatusOr<Relation> seq_out = seq.Execute(*best.plan, db,
                                                       &seq_ctx);
   ASSERT_TRUE(seq_out.ok()) << seq_out.status().ToString();
   for (int threads : {2, 4}) {
@@ -574,7 +562,7 @@ TEST(GovernorSpillTest, ThreadedGovernedExecutionIdentical) {
     Executor::Options opts;
     opts.num_threads = threads;
     Executor ex(opts);
-    StatusOr<Relation> got = ex.ExecuteWithContext(*best.plan, db, &ctx);
+    StatusOr<Relation> got = ex.Execute(*best.plan, db, &ctx);
     ASSERT_TRUE(got.ok()) << "threads " << threads << ": "
                           << got.status().ToString();
     ExpectIdentical(*seq_out, *got,
@@ -606,7 +594,7 @@ TEST(GovernorSharedRootTest, ConcurrentQueriesUnderOneRootStayIdentical) {
     ASSERT_NE(best.plan, nullptr) << "query " << q;
     plans[q] = std::move(best.plan);
     Executor plain;
-    expected.push_back(plain.Execute(*plans[q], dbs[q]));
+    expected.push_back(plain.Execute(*plans[q], dbs[q]).value());
   }
 
   // Soft threshold of one byte at the root: every child reservation sees
@@ -626,7 +614,7 @@ TEST(GovernorSharedRootTest, ConcurrentQueriesUnderOneRootStayIdentical) {
         limits.parent_tracker = &root;
         QueryContext ctx(limits);
         Executor ex;
-        results[q] = ex.ExecuteWithContext(*plans[q], dbs[q], &ctx);
+        results[q] = ex.Execute(*plans[q], dbs[q], &ctx);
         leftover[q] = ctx.tracker()->used();
       });
     }

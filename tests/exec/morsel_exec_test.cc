@@ -152,7 +152,7 @@ TEST(MorselEdgeTest, NullKeyOnlyChunksThroughFusedCompensation) {
           Plan::Join(JoinOp::kFullOuter, EquiJoin(0, "a", 1, "a", "p01"),
                      Plan::Leaf(0), Plan::Leaf(1))));
   Executor sequential;
-  Relation expect = sequential.Execute(*plan, db);
+  Relation expect = sequential.Execute(*plan, db).value();
   EXPECT_GT(expect.NumRows(), 0);  // gamma keeps the right-padded rows
   for (int threads : {1, 2, 4}) {
     for (int64_t morsel : {int64_t{1}, int64_t{7}, int64_t{4096}}) {
@@ -161,7 +161,7 @@ TEST(MorselEdgeTest, NullKeyOnlyChunksThroughFusedCompensation) {
       opts.tuning.morsel_rows = morsel;
       opts.tuning.chunk_rows = 4;
       Executor ex(opts);
-      Relation got = ex.Execute(*plan, db);
+      Relation got = ex.Execute(*plan, db).value();
       ExpectIdentical(expect, got,
                       "null-key fused chain threads=" +
                           std::to_string(threads) + " morsel=" +
@@ -186,7 +186,7 @@ TEST(MorselEdgeTest, SpillPathByteIdenticalAcrossTunings) {
           Plan::Join(JoinOp::kFullOuter, EquiJoin(0, "b", 1, "b", "pb"),
                      Plan::Leaf(0), Plan::Leaf(1))));
   Executor plain;
-  Relation expect = plain.Execute(*plan, db);
+  Relation expect = plain.Execute(*plan, db).value();
   for (int64_t morsel : {int64_t{5}, int64_t{4096}}) {
     QueryContext::Limits limits;
     limits.mem_limit_bytes = int64_t{1} << 30;
@@ -197,7 +197,7 @@ TEST(MorselEdgeTest, SpillPathByteIdenticalAcrossTunings) {
     opts.tuning.morsel_rows = morsel;
     opts.tuning.chunk_rows = 3;
     Executor ex(opts);
-    StatusOr<Relation> got = ex.ExecuteWithContext(*plan, db, &ctx);
+    StatusOr<Relation> got = ex.Execute(*plan, db, &ctx);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectIdentical(expect, *got,
                     "spilled morsel=" + std::to_string(morsel));

@@ -11,6 +11,8 @@
 #include "algebra/comp_op.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "exec/fused_comp.h"
+#include "exec/query_context.h"
 #include "testing/random_data.h"
 
 #include "../test_util.h"
@@ -77,51 +79,82 @@ INSTANTIATE_TEST_SUITE_P(
     AllOpsManySeeds, ParallelJoinGolden,
     ::testing::Combine(::testing::Range(0, 8), ::testing::Range(0, 8)));
 
-// A full-outer result has the block-NULL structure the compensation
+// A full-outer join has the block-NULL structure the compensation
 // operators care about: matched rows, left-padded rows, right-padded rows.
-Relation CompInput(uint64_t seed) {
+Database CompData(uint64_t seed) {
   Rng rng(seed * 31 + 7);
   RandomDataOptions opts;
   opts.max_rows = 60;
   opts.null_prob = 0.25;
-  Relation left = RandomRelation(rng, 0, opts);
-  Relation right = RandomRelation(rng, 1, opts);
-  return EvalJoin(JoinOp::kFullOuter, EquiJoin(0, "a", 1, "a", "p01"), left,
-                  right);
+  Database db;
+  db.Add(RandomRelation(rng, 0, opts));
+  db.Add(RandomRelation(rng, 1, opts));
+  return db;
+}
+
+PlanPtr CompInputPlan() {
+  return Plan::Join(JoinOp::kFullOuter, EquiJoin(0, "a", 1, "a", "p01"),
+                    Plan::Leaf(0), Plan::Leaf(1));
+}
+
+Relation CompInput(const Database& db) {
+  return EvalJoin(JoinOp::kFullOuter, EquiJoin(0, "a", 1, "a", "p01"),
+                  db.table(0), db.table(1));
+}
+
+// lambda and gamma run as fused chains: a pooled, governed chain pass at
+// an odd morsel size must match the sequential operator byte for byte.
+Relation ParallelChain(const FusedCompChain& chain, const Relation& in) {
+  ThreadPool pool(4);
+  QueryContext ctx;
+  ExecTuning tuning;
+  tuning.morsel_rows = 7;
+  Relation out = ApplyFusedChain(chain, in, &pool, &ctx, &tuning);
+  EXPECT_FALSE(ctx.HasError());
+  return out;
 }
 
 TEST(ParallelCompGolden, LambdaByteIdentical) {
   for (uint64_t seed = 0; seed < 6; ++seed) {
-    Relation in = CompInput(seed);
+    Relation in = CompInput(CompData(seed));
     PredRef pred = Predicate::Compare(Predicate::CmpOp::kLe, Col(0, "b"),
                                       Col(1, "b"));
     Relation sequential = EvalLambda(pred, RelSet::Single(1), in);
-    ThreadPool pool(4);
-    Relation parallel = EvalLambda(pred, RelSet::Single(1), in, &pool);
-    ExpectIdentical(sequential, parallel,
+    FusedCompChain chain;
+    chain.AddLambda(pred, RelSet::Single(1), in.schema());
+    ExpectIdentical(sequential, ParallelChain(chain, in),
                     "lambda seed " + std::to_string(seed));
   }
 }
 
 TEST(ParallelCompGolden, GammaByteIdentical) {
   for (uint64_t seed = 0; seed < 6; ++seed) {
-    Relation in = CompInput(seed);
+    Relation in = CompInput(CompData(seed));
     Relation sequential = EvalGamma(RelSet::Single(1), in);
-    ThreadPool pool(4);
-    Relation parallel = EvalGamma(RelSet::Single(1), in, &pool);
-    ExpectIdentical(sequential, parallel,
+    FusedCompChain chain;
+    chain.AddGamma(RelSet::Single(1), in.schema());
+    ExpectIdentical(sequential, ParallelChain(chain, in),
                     "gamma seed " + std::to_string(seed));
   }
 }
 
 TEST(ParallelCompGolden, GammaStarByteIdentical) {
   for (uint64_t seed = 0; seed < 6; ++seed) {
-    Relation in = CompInput(seed);
+    Database db = CompData(seed);
     RelSet keep = RelSet::Single(0);
-    Relation sequential = EvalGammaStar(RelSet::Single(1), keep, in);
-    ThreadPool pool(4);
-    Relation parallel = EvalGammaStar(RelSet::Single(1), keep, in, &pool);
-    ExpectIdentical(sequential, parallel,
+    Relation sequential =
+        EvalGammaStar(RelSet::Single(1), keep, CompInput(db));
+    // gamma* as a plan: the modify half fuses into the join's probe.
+    PlanPtr plan =
+        Plan::Comp(CompOp::GammaStar(RelSet::Single(1), keep), CompInputPlan());
+    Executor::Options opts;
+    opts.num_threads = 4;
+    opts.tuning.morsel_rows = 7;
+    Executor ex(opts);
+    QueryContext ctx;
+    StatusOr<Relation> parallel = ex.Execute(*plan, db, &ctx);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ExpectIdentical(sequential, *parallel,
                     "gamma* seed " + std::to_string(seed));
   }
 }
@@ -155,12 +188,12 @@ TEST(ParallelExecutorGolden, CompensatedPlanByteIdentical) {
                             Plan::Leaf(2))));
   for (const PlanPtr* p : {&plan, &gstar}) {
     Executor sequential;
-    Relation expect = sequential.Execute(**p, db);
+    Relation expect = sequential.Execute(**p, db).value();
     for (int threads : {2, 4}) {
       Executor::Options eopts;
       eopts.num_threads = threads;
       Executor parallel(eopts);
-      Relation got = parallel.Execute(**p, db);
+      Relation got = parallel.Execute(**p, db).value();
       ExpectIdentical(expect, got,
                       (*p)->ToInlineString() + " threads=" +
                           std::to_string(threads));

@@ -5,7 +5,6 @@
 
 #include "exec/executor.h"
 #include "cost/histogram.h"
-#include "exec/iterator_exec.h"
 #include "expr/pred_normalize.h"
 #include "testing/random_data.h"
 
@@ -174,25 +173,6 @@ TEST(PredNormalizeTest, PreservesSemanticsRandomized) {
 
 namespace eca {
 namespace {
-
-TEST(EdgeCases, PullLimitOnCompensatedPlan) {
-  Rng rng(77);
-  RandomDataOptions dopts;
-  dopts.min_rows = 40;
-  dopts.max_rows = 40;
-  dopts.empty_prob = 0;
-  Database db = RandomDatabase(rng, 2, dopts);
-  // A compensated shape: beta(lambda(loj)) — the pipeline breaker must
-  // still honour the row limit on its output side.
-  PredRef p = EquiJoin(0, "a", 1, "a", "p");
-  PlanPtr plan = Plan::Comp(
-      CompOp::Beta(),
-      Plan::Comp(CompOp::Lambda(p, RelSet::Single(1)),
-                 Plan::Join(JoinOp::kLeftOuter, p, Plan::Leaf(0),
-                            Plan::Leaf(1))));
-  Relation limited = ExecutePullLimit(*plan, db, 4);
-  EXPECT_EQ(limited.NumRows(), 4);
-}
 
 TEST(EdgeCases, SingleValueHistogram) {
   Relation r(Schema({{0, "v", DataType::kInt64}}));

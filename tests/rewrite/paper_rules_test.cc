@@ -94,7 +94,7 @@ TEST(CbaRules, OuterCrossPreservesNonEmptyOperands) {
   db.Add(empty);
   PlanPtr cross = OuterCross(Plan::Leaf(0), Plan::Leaf(1));
   Executor ex;
-  Relation out = ex.Execute(*cross, db);
+  Relation out = ex.Execute(*cross, db).value();
   // The plain cartesian product would be empty; the outer variant keeps
   // R0's tuple padded with NULLs.
   ASSERT_EQ(out.NumRows(), 1);

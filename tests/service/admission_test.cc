@@ -1,7 +1,6 @@
 // AdmissionController contract: concurrency slots, the bounded FIFO
 // queue, overload shedding, the memory-commit ledger, deadline-aware
-// rejection, the degraded-planning bit and drain semantics — all without
-// a socket in sight.
+// rejection and drain semantics — all without a socket in sight.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +21,6 @@ TEST(AdmissionTest, FastPathAdmitsAndReleases) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   EXPECT_EQ(a->commit_bytes, 1 << 20);
   EXPECT_EQ(a->queue_wait_ms, 0);
-  EXPECT_FALSE(a->degrade_plan);
   EXPECT_EQ(ctrl.active(), 1);
   EXPECT_EQ(ctrl.committed_bytes(), 1 << 20);
   ctrl.Release(*a);
@@ -134,24 +132,6 @@ TEST(AdmissionTest, OversizedBudgetRunsAloneInsteadOfStarving) {
   ASSERT_TRUE(oversized.ok()) << oversized.status().ToString();
   EXPECT_EQ(ctrl.active(), 1);
   ctrl.Release(*oversized);
-}
-
-TEST(AdmissionTest, DegradeBitSetOnlyUnderTightDeadline) {
-  AdmissionConfig config;
-  config.degrade_below_ms = 100;
-  AdmissionController ctrl(config);
-  StatusOr<Admission> tight = ctrl.Admit(0, /*remaining_deadline_ms=*/50);
-  ASSERT_TRUE(tight.ok());
-  EXPECT_TRUE(tight->degrade_plan);
-  ctrl.Release(*tight);
-  StatusOr<Admission> roomy = ctrl.Admit(0, /*remaining_deadline_ms=*/500);
-  ASSERT_TRUE(roomy.ok());
-  EXPECT_FALSE(roomy->degrade_plan);
-  ctrl.Release(*roomy);
-  StatusOr<Admission> none = ctrl.Admit(0, /*remaining_deadline_ms=*/0);
-  ASSERT_TRUE(none.ok());
-  EXPECT_FALSE(none->degrade_plan);
-  ctrl.Release(*none);
 }
 
 TEST(AdmissionTest, DrainRejectsArrivalsAndWakesWaiters) {

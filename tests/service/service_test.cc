@@ -27,6 +27,7 @@
 #include "algebra/plan_parser.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "eca/optimizer.h"
 #include "expr/pred_parser.h"
 #include "service/server.h"
@@ -73,9 +74,17 @@ std::string SoloResult(const Database& db, bool sizes_only = false) {
   PlanPtr plan = ParsePlan("(R0 join[p01] (R1 join[p12] R2))", preds,
                            &error);
   EXPECT_NE(plan, nullptr) << error;
-  Optimizer opt;
-  auto best = sizes_only ? opt.OptimizeSizesOnly(*plan, db)
-                         : opt.Optimize(*plan, db);
+  // The sizes-only oracle is the governed optimizer squeezed below its
+  // fallback threshold, as a tight service deadline squeezes it.
+  Optimizer::Options opts;
+  opts.sizes_only_fallback_ms = 60000;
+  Optimizer opt(opts);
+  QueryContext::Limits limits;
+  limits.timeout_ms = sizes_only ? 30000 : 0;
+  QueryContext ctx(limits);
+  ctx.Arm();
+  auto best = opt.OptimizeGoverned(*plan, db, &ctx);
+  EXPECT_EQ(best.stats.degraded, sizes_only);
   EXPECT_NE(best.plan, nullptr);
   return RelationToTbl(opt.Execute(*best.plan, db));
 }
@@ -247,6 +256,55 @@ TEST(ServiceStateTest, TightDeadlineDegradesPlanningNotResults) {
   EXPECT_EQ(*response.Find("data"), solo)
       << "degraded planning must not change results";
   EXPECT_EQ(CounterValue("service.degraded"), degraded_before + 1);
+
+  // A roomy deadline, or none at all, plans with the full search.
+  for (int64_t timeout_ms : {120000, 0}) {
+    WireMessage roomy = QueryMessage();
+    if (timeout_ms > 0) roomy.AddInt("timeout_ms", timeout_ms);
+    WireMessage reply = state.Handle(roomy);
+    ASSERT_EQ(reply.type, "RESULT") << timeout_ms;
+    EXPECT_EQ(*reply.Find("degraded"), "0") << timeout_ms;
+  }
+}
+
+// The deadline runs from arrival: a query that waited in the queue
+// executes with its timeout minus the wait, not a fresh timeout. The
+// "execute" trace span records the remaining deadline it started with.
+TEST(ServiceStateTest, QueuedQueryDeadlineCountsItsWait) {
+  Database db = TestData(3, 16);
+  ServiceOptions options;
+  options.admission.max_concurrent = 1;
+  ServiceState state(&db, options);
+
+  constexpr int64_t kTimeoutMs = 60000;
+  constexpr int64_t kHoldMs = 400;
+  StatusOr<Admission> hold = state.admission().Admit(0, 0);
+  ASSERT_TRUE(hold.ok());
+  Tracer::Enable();
+  WireMessage request = QueryMessage();
+  request.AddInt("timeout_ms", kTimeoutMs);
+  WireMessage response;
+  std::thread client([&] { response = state.Handle(request); });
+  while (state.admission().queued() != 1) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(kHoldMs));
+  state.admission().Release(*hold);
+  client.join();
+  Tracer::Disable();
+
+  ASSERT_EQ(response.type, "RESULT")
+      << (response.Find("message") != nullptr ? *response.Find("message")
+                                              : "");
+  const int64_t waited = std::stoll(*response.Find("queue_wait_ms"));
+  EXPECT_GE(waited, kHoldMs);
+  const std::string json = Tracer::ToJson();
+  const std::string key = "remaining_ms=";
+  size_t span = json.find("\"execute\"");
+  ASSERT_NE(span, std::string::npos) << json;
+  size_t at = json.find(key, span);
+  ASSERT_NE(at, std::string::npos) << json;
+  const int64_t remaining = std::stoll(json.substr(at + key.size()));
+  EXPECT_LE(remaining, kTimeoutMs - waited);
+  EXPECT_GT(remaining, 0);
 }
 
 // -------------------------------------------------------------------

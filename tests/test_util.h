@@ -6,7 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "algebra/plan.h"
+#include "exec/database.h"
 #include "exec/executor.h"
+#include "expr/expr.h"
 #include "storage/relation.h"
 
 namespace eca {
@@ -31,11 +34,67 @@ inline void ExpectPlansEquivalent(const Plan& a, const Plan& b,
                                   const Database& db,
                                   const std::string& context = "") {
   Executor ea, eb;
-  Relation ra = ea.Execute(a, db);
-  Relation rb = eb.Execute(b, db);
+  Relation ra = ea.Execute(a, db).value();
+  Relation rb = eb.Execute(b, db).value();
   ExpectSameRelation(ra, rb,
                      context + "\nplan A:\n" + a.ToString() + "plan B:\n" +
                          b.ToString());
+}
+
+// The executor's oracle: evaluates `plan` operator by operator straight
+// from the definitions — nested-loop joins (EvalJoinNaive), the O(n^2)
+// best-match (EvalBetaNaive) and row-at-a-time lambda / gamma / gamma*
+// (Section 2.2, Equations 7 and 8) — sharing none of the executor's hash,
+// fused-chain or morsel code.
+inline Relation EvalPlanNaive(const Plan& plan, const Database& db) {
+  if (plan.kind() == Plan::Kind::kLeaf) return db.table(plan.rel_id());
+  if (plan.kind() == Plan::Kind::kJoin) {
+    return EvalJoinNaive(plan.op(), plan.pred(),
+                         EvalPlanNaive(*plan.left(), db),
+                         EvalPlanNaive(*plan.right(), db));
+  }
+  const CompOp& c = plan.comp();
+  Relation in = EvalPlanNaive(*plan.child(), db);
+  if (c.kind == CompOp::Kind::kBeta) return EvalBetaNaive(in);
+  if (c.kind == CompOp::Kind::kProject) return EvalProject(c.attrs, in);
+  const Schema& schema = in.schema();
+  auto all_null = [&](const Tuple& t, RelSet attrs) {
+    for (int col : schema.ColumnsOf(attrs)) {
+      if (!t[static_cast<size_t>(col)].is_null()) return false;
+    }
+    return true;
+  };
+  auto nullify = [&](Tuple* t, int col) {
+    (*t)[static_cast<size_t>(col)] = Value::Null(schema.column(col).type);
+  };
+  CompiledPredicate lambda_pred;
+  if (c.kind == CompOp::Kind::kLambda) {
+    lambda_pred = CompiledPredicate(c.pred, schema);
+  }
+  Relation out(schema);
+  for (Tuple t : in.rows()) {
+    switch (c.kind) {
+      case CompOp::Kind::kLambda:
+        if (!lambda_pred.EvalTrue(t)) {
+          for (int col : schema.ColumnsOf(c.attrs)) nullify(&t, col);
+        }
+        break;
+      case CompOp::Kind::kGamma:
+        if (!all_null(t, c.attrs)) continue;
+        break;
+      case CompOp::Kind::kGammaStar:
+        if (!all_null(t, c.attrs)) {
+          for (int col = 0; col < schema.NumColumns(); ++col) {
+            if (!c.keep.Contains(schema.column(col).rel_id)) nullify(&t, col);
+          }
+        }
+        break;
+      default:
+        break;
+    }
+    out.Add(std::move(t));
+  }
+  return c.kind == CompOp::Kind::kGammaStar ? EvalBetaNaive(out) : out;
 }
 
 // Builds a relation from an inline spec. Columns are (rel_id, name, type);

@@ -95,6 +95,27 @@ if(NOT LAST_OUT MATCHES "governor: degraded=")
           "governed explain did not print governor counters:\n${LAST_OUT}")
 endif()
 
+# EXPLAIN ANALYZE is the profile of the run that produced the result: the
+# per-node rows are the same at any thread count and morsel size, and
+# under the governor.
+set(PLAN3 "(R0 laj[p01] (R1 laj[p12] R2))")
+set(PRED3 --pred ${PRED} --pred "p12=R1.b = R2.b" --rows 200 --approach eca)
+expect_ok("profile 1 thread" explain ${PLAN3} ${PRED3})
+string(REGEX MATCHALL "rows=[0-9]+" rows_seq "${LAST_OUT}")
+if(NOT LAST_OUT MATCHES "scan R0 +rows=[0-9]+ +[0-9.]+ ms")
+  message(FATAL_ERROR "explain printed no per-node profile:\n${LAST_OUT}")
+endif()
+expect_ok("profile 4 threads" explain ${PLAN3} ${PRED3}
+          --threads 4 --morsel-rows 64)
+string(REGEX MATCHALL "rows=[0-9]+" rows_par "${LAST_OUT}")
+expect_ok("profile governed" explain ${PLAN3} ${PRED3}
+          --threads 4 --morsel-rows 64 --timeout-ms 60000 --mem-limit-mb 256)
+string(REGEX MATCHALL "rows=[0-9]+" rows_gov "${LAST_OUT}")
+if(NOT rows_seq STREQUAL rows_par OR NOT rows_seq STREQUAL rows_gov)
+  message(FATAL_ERROR "per-node rows differ: 1 thread '${rows_seq}', "
+                      "4 threads '${rows_par}', governed '${rows_gov}'")
+endif()
+
 # --explain-stats prints the sequential search's counters; the knobs of the
 # deleted parallel/branch-and-bound search must not come back.
 expect_ok("explain-stats"

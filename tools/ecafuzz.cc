@@ -255,22 +255,23 @@ std::string RunTrial(const Trial& t, const TrialSetup& setup,
   opts.reuse_subplans = setup.reuse_subplans;
   opts.budget = setup.budget;
   Optimizer opt(opts);
-  StatusOr<Optimizer::Optimized> best = opt.OptimizeChecked(*t.query, t.db);
-  FaultInjector::Reset();
-  if (!best.ok()) {
-    return "OptimizeChecked failed on a valid query: " +
-           best.status().ToString();
+  Status query_valid = ValidatePlanStatus(*t.query, t.db.BaseSchemas());
+  if (!query_valid.ok()) {
+    FaultInjector::Reset();
+    return "generated query fails validation: " + query_valid.ToString();
   }
-  if (best->plan == nullptr) return "Optimize returned a null plan";
-  if (stats_out != nullptr) *stats_out = best->stats;
+  Optimizer::Optimized best = opt.Optimize(*t.query, t.db);
+  FaultInjector::Reset();
+  if (best.plan == nullptr) return "Optimize returned a null plan";
+  if (stats_out != nullptr) *stats_out = best.stats;
 
-  Status valid = ValidatePlanStatus(*best->plan, t.db.BaseSchemas());
+  Status valid = ValidatePlanStatus(*best.plan, t.db.BaseSchemas());
   if (!valid.ok()) {
     return "optimized plan fails validation: " + valid.ToString();
   }
   // A one-node budget leaves no room to complete any enumeration: the
   // result must be flagged degraded.
-  if (setup.budget.max_enumerated_nodes == 1 && !best->stats.degraded) {
+  if (setup.budget.max_enumerated_nodes == 1 && !best.stats.degraded) {
     return "nodes=1 budget did not set stats.degraded";
   }
 
@@ -281,11 +282,11 @@ std::string RunTrial(const Trial& t, const TrialSetup& setup,
   if (setup.morsel_rows > 0) exec_opts.exec_tuning.morsel_rows = setup.morsel_rows;
   if (setup.chunk_rows > 0) exec_opts.exec_tuning.chunk_rows = setup.chunk_rows;
   Optimizer threaded{exec_opts};
-  Relation got = threaded.Execute(*best->plan, t.db);
+  Relation got = threaded.Execute(*best.plan, t.db);
   if (!SameMultiset(CanonicalizeColumnOrder(expect),
                     CanonicalizeColumnOrder(got))) {
     return "DIVERGENCE: optimized plan result differs from the query\n" +
-           best->plan->ToString();
+           best.plan->ToString();
   }
 
   if (setup.mem_limit_mb > 0) {
@@ -309,14 +310,13 @@ std::string RunTrial(const Trial& t, const TrialSetup& setup,
     if (setup.morsel_rows > 0) xopts.tuning.morsel_rows = setup.morsel_rows;
     if (setup.chunk_rows > 0) xopts.tuning.chunk_rows = setup.chunk_rows;
     Executor ex(xopts);
-    StatusOr<Relation> governed = ex.ExecuteWithContext(*best->plan, t.db,
-                                                        &ctx);
+    StatusOr<Relation> governed = ex.Execute(*best.plan, t.db, &ctx);
     FaultInjector::Reset();
     if (governed.ok()) {
       if (!IdenticalRelations(*governed, got)) {
         return "SPILL DIVERGENCE: governed (spilled) execution differs "
                "from the in-memory result\n" +
-               best->plan->ToString();
+               best.plan->ToString();
       }
       if (ctx.tracker()->used() != 0) {
         return "governed execution leaked " +
@@ -474,11 +474,13 @@ std::string RunMutatedNotation(const Trial& t, uint64_t seed) {
   std::string error;
   PlanPtr mutated = ParsePlan(text, preds, &error);
   if (mutated == nullptr) return "";  // rejected at the parser: fine
+  if (!ValidatePlanStatus(*mutated, t.db.BaseSchemas()).ok()) {
+    return "";  // rejected at validation: fine
+  }
   Optimizer opt;
-  StatusOr<Optimizer::Optimized> best = opt.OptimizeChecked(*mutated, t.db);
-  if (!best.ok()) return "";  // rejected at validation: fine
+  Optimizer::Optimized best = opt.Optimize(*mutated, t.db);
   Relation expect = opt.Execute(*mutated, t.db);
-  Relation got = opt.Execute(*best->plan, t.db);
+  Relation got = opt.Execute(*best.plan, t.db);
   if (!SameMultiset(CanonicalizeColumnOrder(expect),
                     CanonicalizeColumnOrder(got))) {
     return "DIVERGENCE on mutated notation '" + text + "'";

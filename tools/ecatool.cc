@@ -13,7 +13,9 @@
 //           [--morsel-rows N] [--chunk-rows N]
 //           [--explain-stats] [--timeout-ms N] [--mem-limit-mb N]
 //       Optimize the query — with all three approaches, or just the one
-//       named by --approach — and print plans, costs and EXPLAIN ANALYZE.
+//       named by --approach — and print plans, costs and EXPLAIN ANALYZE:
+//       per-node rows and ms from the execution that produced the result,
+//       at the given --threads and tuning, governed runs included.
 //       Data is random (N rows per relation) unless --data names a
 //       directory of R<i>.tbl files (columns k,a,b as written by the
 //       generators; see gen-tpch for TPC-H-style tables). --threads runs
@@ -423,14 +425,14 @@ int Explain(int argc, char** argv) {
       if (t.joinable()) t.join();
     }
   } interrupt_timer;
+  // The optimizer CHECK-fails on malformed plans, so validate the
+  // hand-typed plan here once for all approaches.
+  Status valid = ValidatePlanStatus(*plan, db.BaseSchemas());
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+    return 1;
+  }
   if (extra.governed()) {
-    // OptimizeGoverned skips the validating front door, so validate the
-    // hand-typed plan here once for all approaches.
-    Status valid = ValidatePlanStatus(*plan, db.BaseSchemas());
-    if (!valid.ok()) {
-      std::fprintf(stderr, "%s\n", valid.ToString().c_str());
-      return 1;
-    }
     std::signal(SIGINT, HandleInterrupt);
     std::signal(SIGTERM, HandleInterrupt);
     if (extra.self_interrupt_ms > 0) {
@@ -465,38 +467,29 @@ int Explain(int argc, char** argv) {
     limits.timeout_ms = extra.timeout_ms;
     limits.spill_dir = extra.spill_dir;
     QueryContext ctx(limits);
+    QueryContext* governed = nullptr;
     if (extra.governed()) {
       ctx.Arm();
       g_active_cancel.store(ctx.cancel_token(), std::memory_order_release);
+      governed = &ctx;
     }
     auto opt_start = std::chrono::steady_clock::now();
-    StatusOr<Optimizer::Optimized> best =
-        extra.governed()
-            ? StatusOr<Optimizer::Optimized>(
-                  opt.OptimizeGoverned(*plan, db, &ctx))
-            : opt.OptimizeChecked(*plan, db);
+    Optimizer::Optimized best = opt.OptimizeGoverned(*plan, db, governed);
     double opt_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - opt_start)
                         .count();
-    if (!best.ok()) {
-      std::fprintf(stderr, "%s\n", best.status().ToString().c_str());
-      return 1;
-    }
-    if (extra.governed()) {
-      // ExplainAnalyze profiles by executing ungoverned; under a memory
-      // limit that would dodge the very contract the flags ask for, so
-      // governed runs print the plan and execute it once, governed.
-      std::printf("---- %s (estimated cost %.1f) ----\n%s",
-                  Optimizer::ApproachName(approach), best->estimated_cost,
-                  best->plan->ToString().c_str());
-    } else {
-      std::printf("---- %s (estimated cost %.1f) ----\n%s",
-                  Optimizer::ApproachName(approach), best->estimated_cost,
-                  ExplainAnalyze(*best->plan, db).c_str());
-    }
-    std::printf("%s", best->provenance.ToString().c_str());
+    // EXPLAIN ANALYZE is the profile of the one execution that produced
+    // the result, governed or not, at the requested threads and tuning.
+    ExecStats xs;
+    StatusOr<Relation> res = opt.ExecuteGoverned(*best.plan, db, governed, &xs);
+    g_active_cancel.store(nullptr, std::memory_order_release);
+    std::printf("---- %s (estimated cost %.1f) ----\n%s",
+                Optimizer::ApproachName(approach), best.estimated_cost,
+                res.ok() ? ExplainAnalyze(xs.profile).c_str()
+                         : best.plan->ToString().c_str());
+    std::printf("%s", best.provenance.ToString().c_str());
     if (extra.explain_stats) {
-      const EnumeratorStats& s = best->stats;
+      const EnumeratorStats& s = best.stats;
       std::printf(
           "enumerator stats (optimized in %.2f ms):\n"
           "  subplan_calls=%lld pairs_considered=%lld\n"
@@ -520,18 +513,15 @@ int Explain(int argc, char** argv) {
           s.degraded ? "yes" : "no", BudgetTriggerName(s.trigger));
     }
     if (extra.governed()) {
-      ExecStats xs;
-      StatusOr<Relation> res = opt.ExecuteGoverned(*best->plan, db, &ctx, &xs);
       std::printf(
           "governor: degraded=%s peak_bytes=%lld spilled_partitions=%lld "
           "spill_bytes=%lld spill_read_bytes=%lld spilled_sort_runs=%lld\n",
-          best->stats.degraded ? "yes" : "no",
+          best.stats.degraded ? "yes" : "no",
           static_cast<long long>(xs.peak_bytes),
           static_cast<long long>(xs.spilled_partitions),
           static_cast<long long>(xs.spill_bytes),
           static_cast<long long>(xs.spill_read_bytes),
           static_cast<long long>(xs.spilled_sort_runs));
-      g_active_cancel.store(nullptr, std::memory_order_release);
       if (!res.ok()) {
         if (g_interrupted != 0 &&
             res.status().code() == StatusCode::kCancelled) {
@@ -547,10 +537,9 @@ int Explain(int argc, char** argv) {
       std::printf("rows: %lld\n\n", static_cast<long long>(res->NumRows()));
     } else {
       Relation a = opt.Execute(*plan, db);
-      Relation b = opt.Execute(*best->plan, db);
       std::printf("result matches query: %s\n\n",
                   SameMultiset(CanonicalizeColumnOrder(a),
-                               CanonicalizeColumnOrder(b))
+                               CanonicalizeColumnOrder(*res))
                       ? "yes"
                       : "NO!");
     }
