@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_set>
 
+#include "common/metrics.h"
 #include "storage/relation.h"
 
 namespace eca {
@@ -45,33 +47,38 @@ TableStats TableStats::FromRelation(const Relation& rel) {
   TableStats stats;
   stats.rows = rel.NumRows();
   for (int c = 0; c < rel.schema().NumColumns(); ++c) {
+    const std::string& name = rel.schema().column(c).name;
+    if (rel.schema().column(c).type != DataType::kString) {
+      // The histogram's exact distinct count (NULLs excluded, clamped to
+      // >= 1) doubles as the column's.
+      EquiDepthHistogram h = EquiDepthHistogram::Build(rel, c);
+      stats.distinct[name] = h.distinct();
+      stats.histograms[name] = std::move(h);
+      continue;
+    }
     // Exact distinct count (small in-memory tables); NULLs excluded.
-    std::unordered_map<uint64_t, int> seen;
+    std::unordered_set<uint64_t> seen;
     for (const Tuple& t : rel.rows()) {
       const Value& v = t[static_cast<size_t>(c)];
-      if (!v.is_null()) seen[v.Hash()] = 1;
+      if (!v.is_null()) seen.insert(v.Hash());
     }
-    stats.distinct[rel.schema().column(c).name] =
+    stats.distinct[name] =
         std::max<int64_t>(1, static_cast<int64_t>(seen.size()));
-    if (rel.schema().column(c).type != DataType::kString) {
-      stats.histograms[rel.schema().column(c).name] =
-          EquiDepthHistogram::Build(rel, c);
-    }
   }
   return stats;
 }
 
-CostModel::CostModel(std::vector<TableStats> base_stats)
-    : base_(std::move(base_stats)) {}
-
-CostModel CostModel::FromDatabase(const Database& db) {
-  std::vector<TableStats> stats;
-  stats.reserve(static_cast<size_t>(db.NumTables()));
-  std::vector<Relation> samples;
+BaseStats BaseStats::Build(const Database& db) {
+  static Counter* const builds =
+      MetricsRegistry::Global().counter("cost.stats_builds");
+  builds->Increment();
+  BaseStats out;
+  out.tables.reserve(static_cast<size_t>(db.NumTables()));
+  out.samples.reserve(static_cast<size_t>(db.NumTables()));
   constexpr int64_t kSampleRows = 64;
   for (int i = 0; i < db.NumTables(); ++i) {
     const Relation& table = db.table(i);
-    stats.push_back(TableStats::FromRelation(table));
+    out.tables.push_back(TableStats::FromRelation(table));
     // Deterministic systematic sample.
     Relation sample(table.schema());
     int64_t n = table.NumRows();
@@ -79,16 +86,28 @@ CostModel CostModel::FromDatabase(const Database& db) {
     for (int64_t r = 0; r < n && sample.NumRows() < kSampleRows; r += step) {
       sample.Add(table.rows()[static_cast<size_t>(r)]);
     }
-    samples.push_back(std::move(sample));
+    out.samples.push_back(std::move(sample));
   }
-  CostModel model(std::move(stats));
-  model.SetSamples(std::move(samples));
-  return model;
+  return out;
 }
 
-void CostModel::SetSamples(std::vector<Relation> samples) {
-  samples_ = std::move(samples);
-  sample_cache_.clear();
+CostModel::CostModel(std::vector<TableStats> base_stats)
+    : CostModel(std::make_shared<const BaseStats>(
+          BaseStats{std::move(base_stats), {}})) {}
+
+CostModel::CostModel(std::shared_ptr<const BaseStats> stats)
+    : stats_(std::move(stats)) {
+  ECA_CHECK(stats_ != nullptr);
+}
+
+CostModel CostModel::FromDatabase(const Database& db) {
+  bool built = false;
+  CostModel model(db.Stats([&] {
+    built = true;
+    return std::make_shared<const BaseStats>(BaseStats::Build(db));
+  }));
+  model.built_stats_ = built;
+  return model;
 }
 
 double CostModel::SampleSelectivity(const Predicate& pred) const {
@@ -106,12 +125,13 @@ double CostModel::SampleSelectivity(const Predicate& pred) const {
   if (refs.Empty() || refs.Count() > 2) return -1;
   Schema combined;
   std::vector<const Relation*> rels;
+  const std::vector<Relation>& samples = stats_->samples;
   for (int id : refs) {
-    if (id >= static_cast<int>(samples_.size()) ||
-        samples_[static_cast<size_t>(id)].NumRows() == 0) {
+    if (id >= static_cast<int>(samples.size()) ||
+        samples[static_cast<size_t>(id)].NumRows() == 0) {
       return -1;
     }
-    const Relation& s = samples_[static_cast<size_t>(id)];
+    const Relation& s = samples[static_cast<size_t>(id)];
     combined = combined.NumColumns() == 0 ? s.schema()
                                           : combined.Concat(s.schema());
     rels.push_back(&s);
@@ -143,16 +163,18 @@ double CostModel::SampleSelectivity(const Predicate& pred) const {
 }
 
 double CostModel::DistinctOf(int rel_id, const std::string& column) const {
-  if (rel_id < 0 || rel_id >= static_cast<int>(base_.size())) return 10;
-  const auto& d = base_[static_cast<size_t>(rel_id)].distinct;
+  const std::vector<TableStats>& base = stats_->tables;
+  if (rel_id < 0 || rel_id >= static_cast<int>(base.size())) return 10;
+  const auto& d = base[static_cast<size_t>(rel_id)].distinct;
   auto it = d.find(column);
   return it == d.end() ? 10.0 : static_cast<double>(it->second);
 }
 
 const EquiDepthHistogram* CostModel::HistogramOf(
     int rel_id, const std::string& column) const {
-  if (rel_id < 0 || rel_id >= static_cast<int>(base_.size())) return nullptr;
-  const auto& h = base_[static_cast<size_t>(rel_id)].histograms;
+  const std::vector<TableStats>& base = stats_->tables;
+  if (rel_id < 0 || rel_id >= static_cast<int>(base.size())) return nullptr;
+  const auto& h = base[static_cast<size_t>(rel_id)].histograms;
   auto it = h.find(column);
   return it == h.end() || it->second.empty() ? nullptr : &it->second;
 }
@@ -249,8 +271,9 @@ CostModel::NodeEstimate CostModel::Estimate(const Plan& plan) const {
     case Plan::Kind::kLeaf: {
       NodeEstimate e;
       int id = plan.rel_id();
-      e.rows = id >= 0 && id < static_cast<int>(base_.size())
-                   ? static_cast<double>(base_[static_cast<size_t>(id)].rows)
+      const std::vector<TableStats>& base = stats_->tables;
+      e.rows = id >= 0 && id < static_cast<int>(base.size())
+                   ? static_cast<double>(base[static_cast<size_t>(id)].rows)
                    : 100.0;
       e.cost = e.rows;  // scan
       return e;

@@ -1,6 +1,7 @@
 #ifndef ECA_COST_COST_MODEL_H_
 #define ECA_COST_COST_MODEL_H_
 
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -24,6 +25,18 @@ struct TableStats {
   static TableStats FromRelation(const Relation& rel);
 };
 
+// The statistics of every base table of a Database, immutable once built:
+// one snapshot is shared by every CostModel over that Database
+// (Database::Stats; docs/performance.md, "Statistics lifetime").
+struct BaseStats {
+  std::vector<TableStats> tables;  // per rel_id
+  std::vector<Relation> samples;   // per rel_id; may be empty
+
+  // Computes fresh statistics and a deterministic systematic 64-row
+  // sample for every table of `db`. Bumps cost.stats_builds.
+  static BaseStats Build(const Database& db);
+};
+
 // Cardinality estimation and plan costing (Section 6.2).
 //
 // Join cardinalities use textbook selectivity estimation: 1/max(d1,d2) for
@@ -39,18 +52,26 @@ struct TableStats {
 // pay a scan (exactly the costs Section 6.2 assigns).
 class CostModel {
  public:
+  // User-supplied statistics (no samples: complex predicates fall back
+  // to default selectivities).
   explicit CostModel(std::vector<TableStats> base_stats);
+  explicit CostModel(std::shared_ptr<const BaseStats> stats);
 
   // Movable (FromDatabase returns by value); the cache mutex is not moved —
   // the source must not be mid-Cost() on another thread, which trivially
   // holds for the construction sites.
   CostModel(CostModel&& other) noexcept
-      : base_(std::move(other.base_)),
-        samples_(std::move(other.samples_)),
+      : stats_(std::move(other.stats_)),
+        built_stats_(other.built_stats_),
         sample_cache_(std::move(other.sample_cache_)) {}
 
-  // Convenience: compute stats from actual tables.
+  // A model over `db`'s statistics snapshot, built on the first call for
+  // `db` and shared afterwards (Database::Stats).
   static CostModel FromDatabase(const Database& db);
+
+  // True when the FromDatabase call that made this model built the
+  // statistics snapshot (the first planning call over its Database).
+  bool built_stats() const { return built_stats_; }
 
   // Estimated output rows of `plan`.
   double Cardinality(const Plan& plan) const;
@@ -61,10 +82,6 @@ class CostModel {
   // Selectivity of `pred` applied to a (conceptual) cross product of the
   // relations it references.
   double Selectivity(const Predicate& pred) const;
-
-  // Attaches per-table row samples (enables cross-sample estimation for
-  // complex predicates). FromDatabase() does this automatically.
-  void SetSamples(std::vector<Relation> samples);
 
  private:
   struct NodeEstimate {
@@ -78,8 +95,8 @@ class CostModel {
   // Cross-sample estimate; negative when samples are unavailable.
   double SampleSelectivity(const Predicate& pred) const;
 
-  std::vector<TableStats> base_;
-  std::vector<Relation> samples_;  // per rel_id; may be empty
+  std::shared_ptr<const BaseStats> stats_;  // null only once moved from
+  bool built_stats_ = false;
   // Memoized per-predicate selectivities (sampling is not free), keyed by
   // StructuralFingerprint so entries stay valid across queries whose
   // predicate objects are freed and their addresses reused. Guarded by a

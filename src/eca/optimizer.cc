@@ -63,7 +63,11 @@ Optimizer::Optimized Optimizer::OptimizeGoverned(const Plan& query,
   MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
   CostModel cost = [&] {
     TraceSpan model_span("cost-model");
-    return CostModel::FromDatabase(db);
+    CostModel model = CostModel::FromDatabase(db);
+    if (model_span.active()) {
+      model_span.AppendArg("built", model.built_stats() ? 1 : 0);
+    }
+    return model;
   }();
   const char* policy_name = PlanPolicyName(options_.plan_policy);
   static Counter* const fallbacks =

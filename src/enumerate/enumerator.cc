@@ -149,13 +149,6 @@ class Search {
   bool GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
                        RelSet s);
 
-  // Folds the locally-accumulated probe counters into the stats and the
-  // shared memo's metrics. Call exactly once, when the search finishes.
-  void Finish() {
-    stats.sig_collisions += memo_stats_.sig_collisions;
-    if (memo_ != nullptr) memo_->AccumulateProbeStats(memo_stats_);
-  }
-
  private:
   struct Probe {
     std::vector<MemoExtKey> keys;  // canonically sorted
@@ -286,7 +279,7 @@ class Search {
   const MemoPayload* FindEntry(const Probe& probe, RelSet s) {
     if (const MemoPayload* e = FindLocal(probe, s)) return e;
     if (!Cached(s)) return nullptr;
-    return memo_->Find(ShapeProbe(probe, s), gen_, &memo_stats_);
+    return memo_->Find(ShapeProbe(probe, s), gen_, &stats.sig_collisions);
   }
 
   void StoreEntry(APlan* p, RelSet s, const Probe& probe, double cost) {
@@ -395,7 +388,6 @@ class Search {
   const uint64_t gen_;
   const int64_t deadline_ms_;  // 0 = no deadline
   bool stop_ = false;          // set by a hard budget trip
-  MemoProbeStats memo_stats_;
   // Local layer: everything this search stored. Collisions on the 64-bit
   // index land in one bucket and are told apart by the stored full key.
   // Payloads are shared with the table.
@@ -699,7 +691,6 @@ TopDownEnumerator::Result TopDownEnumerator::OptimizeImpl(const Plan& query) {
   Search search(cost_, options_, memo, all, query_fp, epoch, gen,
                 deadline_ms);
   const bool found = search.GenerateSubplan(&init, std::nullopt, all);
-  search.Finish();
 
   Result result;
   result.stats = search.stats;

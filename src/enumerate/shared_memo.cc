@@ -11,9 +11,7 @@ namespace eca {
 
 namespace {
 
-// memo.* metric catalog (docs/performance.md). Registered once; the hot
-// probe path never touches these directly — tasks accumulate locally and
-// fold in via AccumulateProbeStats.
+// memo.* metric catalog (docs/performance.md). Registered once.
 struct MemoCounters {
   Counter* probes;
   Counter* hits;
@@ -83,8 +81,9 @@ void SharedMemo::AdvanceEpoch() {
 }
 
 const MemoPayload* SharedMemo::Find(const MemoProbe& probe, uint64_t gen,
-                                    MemoProbeStats* stats) {
-  stats->probes++;
+                                    int64_t* sig_collisions) {
+  const MemoCounters& c = Counters();
+  c.probes->Increment();
   MemoNode* best_node = nullptr;
   const MemoPayload* best = nullptr;
   for (MemoNode* n = table_.Find(probe.map_key); n != nullptr;
@@ -98,7 +97,8 @@ const MemoPayload* SharedMemo::Find(const MemoProbe& probe, uint64_t gen,
       // collide_signatures test knob; astronomically rare otherwise).
       if (p.s == probe.s && p.epoch == probe.epoch &&
           p.policy == probe.policy && p.query_fp == probe.query_fp) {
-        stats->sig_collisions++;
+        c.sig_collisions->Increment();
+        if (sig_collisions != nullptr) ++*sig_collisions;
       }
       continue;
     }
@@ -110,7 +110,7 @@ const MemoPayload* SharedMemo::Find(const MemoProbe& probe, uint64_t gen,
     }
   }
   if (best != nullptr) {
-    stats->hits++;
+    c.hits->Increment();
     best_node->last_used.store(gen, std::memory_order_relaxed);
   }
   return best;
@@ -222,13 +222,6 @@ MemoPublishResult SharedMemo::Import(
       Publish(map_key, std::move(payload), /*gen=*/0);
   Unpin();
   return result;
-}
-
-void SharedMemo::AccumulateProbeStats(const MemoProbeStats& stats) {
-  const MemoCounters& c = Counters();
-  c.probes->Add(stats.probes);
-  c.hits->Add(stats.hits);
-  c.sig_collisions->Add(stats.sig_collisions);
 }
 
 void SharedMemo::ReleaseNode(MemoNode* node) {

@@ -108,16 +108,6 @@ struct MemoExportEntry {
   std::shared_ptr<const MemoPayload> payload;
 };
 
-// Per-enumeration probe counters, accumulated locally by each search and
-// folded into the memo.* metrics once per search (per-probe global
-// atomics would put contention on the read path that concurrent queries
-// share).
-struct MemoProbeStats {
-  int64_t probes = 0;
-  int64_t hits = 0;
-  int64_t sig_collisions = 0;
-};
-
 // Concurrent, fingerprint-keyed memo of proven-optimal plans, shared
 // across queries as the service's plan cache (docs/performance.md,
 // "Shared memo & plan cache").
@@ -171,18 +161,17 @@ class SharedMemo {
   void AdvanceEpoch();
 
   // Cheapest visible entry matching `probe` exactly (nullptr on miss);
-  // requires a pin. Ties resolve to the oldest entry.
+  // requires a pin. Ties resolve to the oldest entry. Counts the probe in
+  // memo.probes/memo.hits/memo.sig_collisions; the collisions are also
+  // added to `*sig_collisions` when given.
   const MemoPayload* Find(const MemoProbe& probe, uint64_t gen,
-                          MemoProbeStats* stats);
+                          int64_t* sig_collisions = nullptr);
 
   // Publishes an entry; requires a pin. `gen` tags visibility as
   // described above. Rejections are safe (they can only cost rework).
   MemoPublishResult Publish(uint64_t map_key,
                             std::shared_ptr<const MemoPayload> payload,
                             uint64_t gen);
-
-  // Folds one search's local probe counters into the memo.* metrics.
-  void AccumulateProbeStats(const MemoProbeStats& stats);
 
   // Persistence (docs/robustness.md, "Crash safety & persistence").
   //

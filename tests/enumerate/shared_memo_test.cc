@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/memory_tracker.h"
+#include "common/metrics.h"
 #include "gtest/gtest.h"
 #include "rewrite/rules.h"
 
@@ -68,15 +69,19 @@ TEST(SharedMemoTest, PublishFindRoundTrip) {
   auto payload = MakePayload(RelSet::Single(1), 10.0);
   EXPECT_EQ(memo.Publish(7, payload, /*gen=*/1),
             MemoPublishResult::kStoredNew);
-  MemoProbeStats stats;
-  // Visible to a later generation...
-  const MemoPayload* hit = memo.Find(ProbeFor(*payload, 7), /*gen=*/2, &stats);
+  // Visible to a later generation, counted straight into memo.*...
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  const MemoPayload* hit = memo.Find(ProbeFor(*payload, 7), /*gen=*/2);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->cost, 10.0);
-  EXPECT_EQ(stats.probes, 1);
-  EXPECT_EQ(stats.hits, 1);
+  MetricsSnapshot diff = MetricsRegistry::Global().Snapshot().DiffSince(before);
+  EXPECT_EQ(diff.counters["memo.probes"], 1);
+  EXPECT_EQ(diff.counters["memo.hits"], 1);
   // ...and a different map key misses.
-  EXPECT_EQ(memo.Find(ProbeFor(*payload, 8), /*gen=*/2, &stats), nullptr);
+  EXPECT_EQ(memo.Find(ProbeFor(*payload, 8), /*gen=*/2), nullptr);
+  diff = MetricsRegistry::Global().Snapshot().DiffSince(before);
+  EXPECT_EQ(diff.counters["memo.probes"], 2);
+  EXPECT_EQ(diff.counters["memo.hits"], 1);
   memo.Unpin();
 }
 
@@ -85,12 +90,11 @@ TEST(SharedMemoTest, VisibilityRuleByGeneration) {
   memo.Pin();
   auto payload = MakePayload(RelSet::Single(1), 10.0);
   memo.Publish(1, payload, /*gen=*/2);
-  MemoProbeStats stats;
   // A query that began before the publisher never sees its entries...
-  EXPECT_EQ(memo.Find(ProbeFor(*payload, 1), /*gen=*/1, &stats), nullptr);
+  EXPECT_EQ(memo.Find(ProbeFor(*payload, 1), /*gen=*/1), nullptr);
   // ...while the publishing query itself and every later one do.
-  EXPECT_NE(memo.Find(ProbeFor(*payload, 1), /*gen=*/2, &stats), nullptr);
-  EXPECT_NE(memo.Find(ProbeFor(*payload, 1), /*gen=*/3, &stats), nullptr);
+  EXPECT_NE(memo.Find(ProbeFor(*payload, 1), /*gen=*/2), nullptr);
+  EXPECT_NE(memo.Find(ProbeFor(*payload, 1), /*gen=*/3), nullptr);
   memo.Unpin();
 }
 
@@ -110,8 +114,7 @@ TEST(SharedMemoTest, CheapestWinsAndDuplicatesSkip) {
   // ...while a strictly cheaper one supersedes it.
   EXPECT_EQ(memo.Publish(7, cheaper, 1),
             MemoPublishResult::kStoredImproved);
-  MemoProbeStats stats;
-  const MemoPayload* hit = memo.Find(ProbeFor(*cheaper, 7), 2, &stats);
+  const MemoPayload* hit = memo.Find(ProbeFor(*cheaper, 7), 2);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->cost, 5.0);
   memo.Unpin();
@@ -135,16 +138,20 @@ TEST(SharedMemoTest, FullKeyVerificationUnderForcedCollision) {
   EXPECT_EQ(memo.Publish(kSharedMapKey, with_b, 1),
             MemoPublishResult::kStoredNew);
 
-  MemoProbeStats stats;
+  int64_t collisions = 0;
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
   const MemoPayload* hit =
-      memo.Find(ProbeFor(*with_a, kSharedMapKey), 2, &stats);
+      memo.Find(ProbeFor(*with_a, kSharedMapKey), 2, &collisions);
   ASSERT_NE(hit, nullptr);
   // The cheaper colliding entry must NOT shadow the exact-key match.
   EXPECT_EQ(hit->cost, 10.0);
   EXPECT_EQ(hit->ext_keys, with_a->ext_keys);
-  EXPECT_EQ(stats.sig_collisions, 1);
+  EXPECT_EQ(collisions, 1);
+  EXPECT_EQ(MetricsRegistry::Global().Snapshot().DiffSince(before)
+                .counters["memo.sig_collisions"],
+            1);
 
-  hit = memo.Find(ProbeFor(*with_b, kSharedMapKey), 2, &stats);
+  hit = memo.Find(ProbeFor(*with_b, kSharedMapKey), 2);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->cost, 5.0);
   memo.Unpin();
@@ -168,8 +175,7 @@ TEST(SharedMemoTest, EpochAdvanceInvalidatesAndSweepReclaims) {
   // can never reuse a stale-stats plan.
   MemoProbe probe = ProbeFor(*payload, 7);
   probe.epoch = memo.epoch();
-  MemoProbeStats stats;
-  EXPECT_EQ(memo.Find(probe, 2, &stats), nullptr);
+  EXPECT_EQ(memo.Find(probe, 2), nullptr);
   memo.Unpin();
 
   // Sweep reclaims the unreachable entry and rebalances the tracker.
@@ -241,7 +247,6 @@ TEST(SharedMemoTest, ConcurrentPublishLookupDeterministicWinner) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       memo.Pin();
-      MemoProbeStats stats;
       for (int r = 0; r < kRounds; ++r) {
         int key = static_cast<int>(
             Mix64(static_cast<uint64_t>(t * kRounds + r)) % kKeys);
@@ -252,7 +257,7 @@ TEST(SharedMemoTest, ConcurrentPublishLookupDeterministicWinner) {
         // this exact key, at most as expensive as what we just offered.
         const MemoPayload* hit =
             memo.Find(ProbeFor(*payload, static_cast<uint64_t>(key + 1)),
-                      /*gen=*/2, &stats);
+                      /*gen=*/2);
         if (hit != nullptr) {
           EXPECT_TRUE(hit->s == RelSet::Single(key));
           EXPECT_GE(hit->cost, expected[static_cast<size_t>(key)]);
@@ -264,12 +269,11 @@ TEST(SharedMemoTest, ConcurrentPublishLookupDeterministicWinner) {
   for (std::thread& w : workers) w.join();
 
   memo.Pin();
-  MemoProbeStats stats;
   for (int key = 0; key < kKeys; ++key) {
     if (expected[static_cast<size_t>(key)] >= 1e18) continue;
     auto probe_payload = MakePayload(RelSet::Single(key), 0.0);
     const MemoPayload* hit = memo.Find(
-        ProbeFor(*probe_payload, static_cast<uint64_t>(key + 1)), 2, &stats);
+        ProbeFor(*probe_payload, static_cast<uint64_t>(key + 1)), 2);
     ASSERT_NE(hit, nullptr) << "key " << key;
     EXPECT_EQ(hit->cost, expected[static_cast<size_t>(key)]) << "key " << key;
   }
@@ -310,12 +314,11 @@ TEST(SharedMemoTest, LruSweepAfterConcurrentOvershoot) {
   // Touch the stored entries in index order with rising generations, so
   // the LRU order afterwards is exactly key 0 oldest .. key 3 newest.
   memo.Pin();
-  MemoProbeStats stats;
   std::vector<int> stored;
   for (int t = 0; t < kThreads; ++t) {
     auto probe_payload = MakePayload(RelSet::Single(t), 0.0);
     if (memo.Find(ProbeFor(*probe_payload, static_cast<uint64_t>(t + 1)),
-                  /*gen=*/static_cast<uint64_t>(10 + t), &stats) != nullptr) {
+                  /*gen=*/static_cast<uint64_t>(10 + t)) != nullptr) {
       stored.push_back(t);
     }
   }
@@ -335,7 +338,7 @@ TEST(SharedMemoTest, LruSweepAfterConcurrentOvershoot) {
   for (int t = 0; t < kThreads; ++t) {
     auto probe_payload = MakePayload(RelSet::Single(t), 0.0);
     if (memo.Find(ProbeFor(*probe_payload, static_cast<uint64_t>(t + 1)),
-                  /*gen=*/20, &stats) != nullptr) {
+                  /*gen=*/20) != nullptr) {
       ++survivors;
       EXPECT_EQ(t, stored.back()) << "LRU evicted the wrong entry";
     }
@@ -404,8 +407,7 @@ TEST(SharedMemoExportTest, ImportIsVisibleToAllQueriesAndDedups) {
   uint64_t gen = memo.BeginQuery();
   EXPECT_GE(gen, 1u);
   memo.Pin();
-  MemoProbeStats stats;
-  EXPECT_NE(memo.Find(ProbeFor(*payload, 7), gen, &stats), nullptr);
+  EXPECT_NE(memo.Find(ProbeFor(*payload, 7), gen), nullptr);
   memo.Unpin();
 
   // Re-importing the same entry (snapshot + log overlap after a crash

@@ -273,8 +273,7 @@ TEST(CacheStoreTest, SnapshotRoundTripWarmsAFreshMemo) {
   // The warmed entries answer probes exactly like the originals.
   uint64_t gen = memo.BeginQuery();
   memo.Pin();
-  MemoProbeStats stats;
-  const MemoPayload* hit = memo.Find(ProbeFor(*rich, 101), gen, &stats);
+  const MemoPayload* hit = memo.Find(ProbeFor(*rich, 101), gen);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->cost, rich->cost);
   EXPECT_EQ(hit->subtree->ToString(), rich->subtree->ToString());
