@@ -22,27 +22,6 @@ double MsSince(Clock::time_point t0) {
       .count();
 }
 
-// Leaf scans materialize a copy of the base table; morsel-parallel row
-// copy when a pool is available (slots are written by row index, so the
-// output is identical either way).
-Relation ScanTable(const Relation& table, ThreadPool* pool,
-                   const ExecTuning& tuning) {
-  if (pool == nullptr) return table;
-  Relation out(table.schema());
-  out.mutable_rows().resize(table.rows().size());
-  MorselCursor cursor(table.NumRows(), tuning.Clamped().morsel_rows);
-  pool->RunOnWorkers([&](int) {
-    int64_t begin, end, morsel;
-    while (cursor.Next(&begin, &end, &morsel)) {
-      for (int64_t i = begin; i < end; ++i) {
-        out.mutable_rows()[static_cast<size_t>(i)] =
-            table.rows()[static_cast<size_t>(i)];
-      }
-    }
-  });
-  return out;
-}
-
 std::string NodeLabel(const Plan& plan) {
   switch (plan.kind()) {
     case Plan::Kind::kLeaf:
@@ -80,7 +59,7 @@ StatusOr<Relation> Executor::Execute(const Plan& plan, const Database& db,
   base_schemas_.clear();  // filled by the first fused chain that needs it
   stats_.profile.clear();
   ExecStats before = stats_;
-  Relation out = ExecNode(plan, db, 0);
+  NodeResult root = ExecNode(plan, db, 0);
   if (ctx != nullptr) stats_.peak_bytes = ctx->tracker()->peak();
   PublishStatsDelta(before);
   if (ctx != nullptr && ctx->ShouldStop()) {
@@ -93,8 +72,11 @@ StatusOr<Relation> Executor::Execute(const Plan& plan, const Database& db,
   // Release the root's charge (ctx_ must still be set — ReleaseNodeOutput
   // is a no-op otherwise): the caller owns the result now and the tracker
   // balance returns to zero on success (asserted in tests).
-  ReleaseNodeOutput(out);
+  ReleaseNodeOutput(root);
   ctx_ = nullptr;
+  // The one copy the executor makes: a bare leaf's result is its table.
+  Relation out =
+      root.borrowed != nullptr ? *root.borrowed : std::move(root.owned);
   if (span.active()) {
     span.AppendArg("rows", static_cast<long long>(out.NumRows()));
   }
@@ -146,58 +128,57 @@ size_t Executor::OpenProfile(const Plan& plan, int depth) {
   return stats_.profile.size() - 1;
 }
 
-Relation Executor::ExecNode(const Plan& plan, const Database& db,
-                            int depth) {
+Executor::NodeResult Executor::ExecNode(const Plan& plan, const Database& db,
+                                        int depth) {
   // Governed runs stop descending the moment the query is cancelled, past
   // its deadline, or carrying an error: subtrees return empty relations
   // that Execute discards in favor of StopStatus().
-  if (ctx_ != nullptr && ctx_->ShouldStop()) return Relation();
-  Relation out;
+  NodeResult out;
+  if (ctx_ != nullptr && ctx_->ShouldStop()) return out;
   switch (plan.kind()) {
     case Plan::Kind::kLeaf: {
+      // A scan does no work: its consumers read the table in place.
+      out.borrowed = &db.table(plan.rel_id());
       const size_t node = OpenProfile(plan, depth);
-      auto t0 = Clock::now();
-      out = ScanTable(db.table(plan.rel_id()), pool_.get(), options_.tuning);
-      stats_.profile[node].ms = MsSince(t0);
-      stats_.profile[node].rows = out.NumRows();
-      break;
+      stats_.profile[node].rows = out.borrowed->NumRows();
+      return out;
     }
     case Plan::Kind::kJoin:
-      out = ExecJoin(plan, db, OpenProfile(plan, depth));
+      out.owned = ExecJoin(plan, db, OpenProfile(plan, depth));
       break;
     case Plan::Kind::kComp:
-      out = ExecComp(plan, db, depth);
+      out.owned = ExecComp(plan, db, depth);
       break;
   }
-  // Every plan node's materialized output is charged to the query tracker
-  // as it comes into existence; the parent releases it once consumed.
-  ChargeNodeOutput(out);
+  // Every owned node output is charged to the query tracker as it comes
+  // into existence; the parent releases it once consumed.
+  ChargeNodeOutput(&out);
   return out;
 }
 
-void Executor::ChargeNodeOutput(const Relation& rel) {
-  if (ctx_ == nullptr || ctx_->HasError() || rel.NumRows() == 0) return;
+void Executor::ChargeNodeOutput(NodeResult* out) {
+  if (ctx_ == nullptr || ctx_->HasError() || out->owned.NumRows() == 0) return;
   ExecCharge charge(ctx_);
-  Status s = charge.Add(ApproxRowsBytes(rel.rows()), "operator output");
+  Status s = charge.Add(ApproxRowsBytes(out->owned.rows()), "operator output");
   if (!s.ok()) {
     ctx_->RecordError(std::move(s));
     return;
   }
-  charge.Detach();
+  out->charged_bytes = charge.Detach();
 }
 
-void Executor::ReleaseNodeOutput(const Relation& rel) {
+void Executor::ReleaseNodeOutput(const NodeResult& out) {
   // Mirror of ChargeNodeOutput; once an error is recorded charges stop,
   // so releases stop too (the failed query's tracker is discarded).
-  if (ctx_ == nullptr || ctx_->HasError() || rel.NumRows() == 0) return;
-  ctx_->tracker()->Release(ApproxRowsBytes(rel.rows()));
+  if (ctx_ == nullptr || ctx_->HasError() || out.charged_bytes == 0) return;
+  ctx_->tracker()->Release(out.charged_bytes);
 }
 
 Relation Executor::ExecJoin(const Plan& plan, const Database& db,
                             size_t node, const FusedCompChain* fused) {
   const int depth = stats_.profile[node].depth;
-  Relation left = ExecNode(*plan.left(), db, depth + 1);
-  Relation right = ExecNode(*plan.right(), db, depth + 1);
+  NodeResult left = ExecNode(*plan.left(), db, depth + 1);
+  NodeResult right = ExecNode(*plan.right(), db, depth + 1);
   if (ctx_ != nullptr && ctx_->ShouldStop()) return Relation();
   ++stats_.join_nodes;
   TraceSpan span("join");
@@ -209,7 +190,7 @@ Relation Executor::ExecJoin(const Plan& plan, const Database& db,
     }
   }
   auto t0 = Clock::now();
-  Relation out = EvalJoin(plan.op(), plan.pred(), left, right,
+  Relation out = EvalJoin(plan.op(), plan.pred(), left.rel(), right.rel(),
                           options_.join_preference, &stats_, pool_.get(),
                           ctx_, &options_.tuning, fused);
   const double ms = MsSince(t0);
@@ -270,14 +251,14 @@ Relation Executor::ExecComp(const Plan& plan, const Database& db,
     // child (recursively fusing below it) and run the breaker.
     const CompOp& c = plan.comp();
     const size_t node = OpenProfile(plan, depth);
-    Relation child = ExecNode(*plan.child(), db, depth + 1);
+    NodeResult child = ExecNode(*plan.child(), db, depth + 1);
     if (ctx_ != nullptr && ctx_->ShouldStop()) return Relation();
     ++stats_.comp_nodes;
     TraceSpan span(CompSpanName(c.kind));
     auto t0 = Clock::now();
     Relation out = c.kind == CompOp::Kind::kBeta
-                       ? EvalBeta(child, ctx_, &stats_)
-                       : EvalProject(c.attrs, child);
+                       ? EvalBeta(child.rel(), ctx_, &stats_)
+                       : EvalProject(c.attrs, child.rel());
     const double ms = MsSince(t0);
     stats_.comp_ms += ms;
     stats_.rows_produced += out.NumRows();
@@ -331,14 +312,14 @@ Relation Executor::ExecComp(const Plan& plan, const Database& db,
     join_node = OpenProfile(*base, base_depth);
     out = ExecJoin(*base, db, join_node, &chain);
   } else {
-    Relation base_rel = ExecNode(*base, db, base_depth);
+    NodeResult base_rel = ExecNode(*base, db, base_depth);
     if (ctx_ != nullptr && ctx_->ShouldStop()) return Relation();
     TraceSpan span("comp/fused");
     if (span.active()) {
       span.AppendArg("steps", static_cast<long long>(chain.num_steps()));
     }
     auto t0 = Clock::now();
-    out = ApplyFusedChain(chain, base_rel, pool_.get(), ctx_,
+    out = ApplyFusedChain(chain, base_rel.rel(), pool_.get(), ctx_,
                           &options_.tuning);
     top_ms = MsSince(t0);
     stats_.comp_ms += top_ms;

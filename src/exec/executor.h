@@ -80,7 +80,8 @@ struct ExecStats {
 };
 
 // Evaluates logical plans (including compensation operators) against an
-// in-memory Database, materializing every operator output.
+// in-memory Database, materializing every operator output; leaf scans
+// read the Database's tables in place.
 //
 // Two engine profiles reproduce the paper's two systems: the PostgreSQL-like
 // profile prefers hash joins for equi-predicates; the "commercial" profile
@@ -133,10 +134,22 @@ class Executor {
   const ExecStats& stats() const { return stats_; }
 
  private:
+  // A plan node's output. A leaf scan borrows the Database's table (no
+  // copy, no charge: the table is the Database's); any other node owns its
+  // output and records its charge, so the release need not walk the rows.
+  struct NodeResult {
+    Relation owned;
+    const Relation* borrowed = nullptr;
+    int64_t charged_bytes = 0;
+    const Relation& rel() const {
+      return borrowed != nullptr ? *borrowed : owned;
+    }
+  };
+
   // Recursive evaluation body at nesting `depth`; Execute wraps it in an
   // "execute" trace span and publishes this call's ExecStats delta as
   // exec.* metrics (docs/observability.md) once the tree is done.
-  Relation ExecNode(const Plan& plan, const Database& db, int depth);
+  NodeResult ExecNode(const Plan& plan, const Database& db, int depth);
   // Publishes stats_ minus `before` into MetricsRegistry::Global(), so a
   // registry diff around one Execute call matches stats() exactly.
   void PublishStatsDelta(const ExecStats& before) const;
@@ -152,10 +165,10 @@ class Executor {
   Relation ExecComp(const Plan& plan, const Database& db, int depth);
   // Appends `plan`'s profile entry; returns its index.
   size_t OpenProfile(const Plan& plan, int depth);
-  // Charges `rel`'s rows to the query tracker as the durable output of a
-  // plan node; records the error on failure. No-op when ungoverned.
-  void ChargeNodeOutput(const Relation& rel);
-  void ReleaseNodeOutput(const Relation& rel);
+  // Charges `out`'s owned rows to the query tracker and records the charge
+  // in it; records the error on failure. No-op when ungoverned.
+  void ChargeNodeOutput(NodeResult* out);
+  void ReleaseNodeOutput(const NodeResult& out);
 
   Options options_;
   ExecStats stats_;
@@ -168,9 +181,10 @@ class Executor {
 
 // Generic join evaluation: uses hash (or sort-merge) join when the predicate
 // contains equi-conjuncts across the two inputs, nested loop otherwise.
-// The hash path builds one shared open-addressing table over typed
-// columnar keys (the smaller input hosts it for inner/semi/anti joins)
-// and probes in fixed-size morsels claimed from a shared cursor; passing
+// The hash path builds one shared chained table (bucket heads plus a
+// per-build-row next link) over typed columnar keys (the smaller input
+// hosts it for inner/semi/anti joins) and probes in fixed-size morsels
+// claimed from a shared cursor, walking one chain per probe row; passing
 // a ThreadPool runs build and probe morsel-parallel with output assembled
 // in morsel-index order, so the result is byte-identical for every thread
 // count (and every `tuning` value). A governed call (non-null ctx)

@@ -302,22 +302,22 @@ Relation NestedLoopJoin(JoinOp op, const PredRef& pred, const Relation& left,
 
 // --- Morsel-driven vectorized hash join -----------------------------------
 //
-// The build side goes into ONE open-addressing table shared by all
-// workers: keys are extracted into typed flat columns (KeyChunkSet) and
-// inserted with a single compare-exchange per row, in the same morsel
-// pass that evaluates the keys. There is no scatter phase, no
-// per-partition table build, and — crucially — none of the two barrier
-// pairs the old partitioned build ran per join, which dominated runtime
-// at small-to-medium build sides and made adding threads a net loss.
+// The build side goes into ONE chained hash table shared by all workers:
+// keys are extracted into typed flat columns (KeyChunkSet), and each valid
+// row is pushed onto its bucket's chain with a single compare-exchange
+// (store next[r] = head, then swing the bucket head to r), in the same
+// morsel pass that evaluates the keys. A build row costs O(1) however many
+// rows share its key (under open addressing the k-th duplicate would walk
+// its key's whole cluster: O(dups^2) per key). There is no scatter phase,
+// no per-partition table build and no barrier beyond the build/probe split.
 //
-// Determinism: CAS insertion order varies across runs, but the table is
-// only a *set* of row indexes per key — the probe collects every matching
-// build row from the linear-probe cluster and sorts the (usually 0- or
-// 1-element) match list ascending, restoring the increasing-build-row
-// emit order the row engine produced. Probe output is buffered per morsel
-// and concatenated in morsel-index order, and morsel boundaries depend
-// only on (rows, morsel_rows) — so output bytes are identical for every
-// thread count.
+// Determinism: CAS insertion order varies across runs, but a chain is
+// only a *set* of row indexes per bucket — the probe collects every
+// matching build row from its bucket's chain and sorts the match list
+// ascending, restoring the increasing-build-row emit order the row engine
+// produced. Probe output is buffered per morsel and concatenated in
+// morsel-index order, and morsel boundaries depend only on (rows,
+// morsel_rows) — so output bytes are identical for every thread count.
 
 // Fanout of the partition-shape statistics (partitions_built,
 // max/min_partition_rows, partition_skew): a fixed histogram over the low
@@ -330,8 +330,9 @@ constexpr int kStatFanout = 16;
 
 struct JoinTable {
   KeyChunkSet keys;                         // columnar build-side keys
-  std::vector<std::atomic<int64_t>> slots;  // open addressing; -1 = empty
-  uint64_t mask = 0;                        // slots.size() - 1 (power of 2)
+  std::vector<std::atomic<int64_t>> heads;  // bucket chain heads; -1 = empty
+  std::vector<int64_t> next;                // per build row; -1 ends a chain
+  uint64_t mask = 0;                        // heads.size() - 1 (power of 2)
   int64_t valid_rows = 0;                   // rows with non-NULL keys
 };
 
@@ -346,13 +347,13 @@ void BuildJoinTable(const Relation& rel, const std::vector<int>& col_idx,
   table->keys.Reset(tags, n);
   int64_t cap = 16;
   while (cap < 2 * n) cap <<= 1;
-  table->slots = std::vector<std::atomic<int64_t>>(static_cast<size_t>(cap));
-  for (auto& s : table->slots) s.store(-1, std::memory_order_relaxed);
+  table->heads = std::vector<std::atomic<int64_t>>(static_cast<size_t>(cap));
+  for (auto& h : table->heads) h.store(-1, std::memory_order_relaxed);
+  table->next.assign(static_cast<size_t>(n), -1);
   table->mask = static_cast<uint64_t>(cap - 1);
 
   // One fused pass: extract the morsel's keys into the typed columns and
-  // CAS each valid row into the table. Load factor stays <= 0.5, so
-  // linear-probe clusters are short.
+  // push each valid row onto its bucket's chain: link it, then CAS it in.
   MorselCursor cursor(n, tuning.morsel_rows);
   auto build_worker = [&](int) {
     int64_t begin, end, morsel;
@@ -362,15 +363,15 @@ void BuildJoinTable(const Relation& rel, const std::vector<int>& col_idx,
         table->keys.ExtractRow(r, rel.rows()[static_cast<size_t>(r)], col_idx,
                                exprs, rel.schema());
         if (!table->keys.ValidAt(r)) continue;
-        uint64_t idx =
-            table->keys.hashes[static_cast<size_t>(r)] & table->mask;
-        int64_t expected = -1;
-        while (!table->slots[idx].compare_exchange_strong(
-            expected, r, std::memory_order_release,
-            std::memory_order_relaxed)) {
-          expected = -1;
-          idx = (idx + 1) & table->mask;
-        }
+        std::atomic<int64_t>& head =
+            table->heads[table->keys.hashes[static_cast<size_t>(r)] &
+                         table->mask];
+        int64_t expected = head.load(std::memory_order_relaxed);
+        do {
+          table->next[static_cast<size_t>(r)] = expected;
+        } while (!head.compare_exchange_weak(expected, r,
+                                             std::memory_order_release,
+                                             std::memory_order_relaxed));
       }
     }
   };
@@ -904,16 +905,14 @@ Relation HashJoin(JoinOp op, const std::vector<EquiKey>& keys,
         for (int64_t i = 0; i < cn; ++i) {
           if (!pk.ValidAt(i)) continue;
           const uint64_t h = pk.hashes[static_cast<size_t>(i)];
-          uint64_t idx = h & table.mask;
           matches.clear();
-          for (;;) {
-            int64_t br = table.slots[idx].load(std::memory_order_acquire);
-            if (br < 0) break;
+          for (int64_t br = table.heads[h & table.mask].load(
+                   std::memory_order_acquire);
+               br >= 0; br = table.next[static_cast<size_t>(br)]) {
             if (table.keys.hashes[static_cast<size_t>(br)] == h) {
               ++comparisons;
               if (table.keys.RowEqual(br, pk, i)) matches.push_back(br);
             }
-            idx = (idx + 1) & table.mask;
           }
           // CAS insertion order is nondeterministic; ascending build-row
           // order per probe row restores the row engine's emit order.

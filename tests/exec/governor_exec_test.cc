@@ -211,7 +211,12 @@ TEST(GovernorSpillTest, GovernedPlansMatchUngovernedAndBalance) {
                             << got.status().ToString();
       ExpectIdentical(expected, *got, "seed " + std::to_string(seed));
       EXPECT_EQ(ctx.tracker()->used(), 0) << "seed " << seed;
-      EXPECT_GT(governed.stats().peak_bytes, 0) << "seed " << seed;
+      // Leaf scans read the Database's tables uncharged, so a plan whose
+      // operators all come out empty peaks at 0; any produced row is an
+      // owned, charged output.
+      if (governed.stats().rows_produced > 0) {
+        EXPECT_GT(governed.stats().peak_bytes, 0) << "seed " << seed;
+      }
     }
   }
 }
