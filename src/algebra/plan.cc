@@ -105,8 +105,10 @@ void Plan::AppendTo(std::string* out, int indent) const {
       *out += pad + "R" + std::to_string(rel_id_) + "\n";
       break;
     case Kind::kJoin:
-      *out += pad + std::string(JoinOpName(op_)) +
-              (pred_ ? "[" + pred_->DisplayName() + "]" : "") + "\n";
+      *out += pad;
+      *out += JoinOpName(op_);
+      if (pred_) *out += StrCat("[", pred_->DisplayName(), "]");
+      *out += '\n';
       left_->AppendTo(out, indent + 1);
       right_->AppendTo(out, indent + 1);
       break;
@@ -126,11 +128,13 @@ std::string Plan::ToString() const {
 std::string Plan::ToInlineString() const {
   switch (kind_) {
     case Kind::kLeaf:
-      return "R" + std::to_string(rel_id_);
-    case Kind::kJoin:
-      return "(" + left_->ToInlineString() + " " + JoinOpName(op_) +
-             (pred_ ? "[" + pred_->DisplayName() + "]" : "") + " " +
-             right_->ToInlineString() + ")";
+      return StrCat("R", std::to_string(rel_id_));
+    case Kind::kJoin: {
+      std::string op = JoinOpName(op_);
+      if (pred_) op += StrCat("[", pred_->DisplayName(), "]");
+      return StrCat("(", left_->ToInlineString(), " ", op, " ",
+                    right_->ToInlineString(), ")");
+    }
     case Kind::kComp:
       return comp_.ToString() + "(" + left_->ToInlineString() + ")";
   }

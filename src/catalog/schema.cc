@@ -71,12 +71,15 @@ Schema Schema::Concat(const Schema& other) const {
 }
 
 std::string Schema::ToString() const {
-  std::vector<std::string> parts;
-  parts.reserve(columns_.size());
-  for (const Column& c : columns_) {
-    parts.push_back(c.QualifiedName() + ":" + DataTypeName(c.type));
+  std::string out = "(";
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += columns_[i].QualifiedName();
+    out += ':';
+    out += DataTypeName(columns_[i].type);
   }
-  return "(" + StrJoin(parts, ", ") + ")";
+  out += ')';
+  return out;
 }
 
 bool operator==(const Schema& a, const Schema& b) {

@@ -6,6 +6,7 @@
 
 #include "common/rel_set.h"
 #include "common/status.h"
+#include "common/str_util.h"
 #include "types/value.h"
 
 namespace eca {
@@ -19,7 +20,7 @@ struct Column {
   DataType type = DataType::kInt64;
 
   std::string QualifiedName() const {
-    return "R" + std::to_string(rel_id) + "." + name;
+    return StrCat("R", std::to_string(rel_id), ".", name);
   }
 };
 

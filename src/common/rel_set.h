@@ -100,7 +100,8 @@ class RelSet {
     bool first = true;
     for (int id : *this) {
       if (!first) out += ",";
-      out += "R" + std::to_string(id);
+      out += 'R';
+      out += std::to_string(id);
       first = false;
     }
     out += "}";

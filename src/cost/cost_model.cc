@@ -148,7 +148,7 @@ double CostModel::SampleSelectivity(const Predicate& pred) const {
     for (const Tuple& a : rels[0]->rows()) {
       for (const Tuple& b : rels[1]->rows()) {
         ++total;
-        if (compiled.EvalTrue(ConcatTuples(a, b))) ++trues;
+        if (compiled.EvalTrue(a, b)) ++trues;
       }
     }
   }

@@ -83,6 +83,11 @@ class CostModel {
   // relations it references.
   double Selectivity(const Predicate& pred) const;
 
+  // Cross-sample estimate: the fraction of the referenced tables' sample
+  // (pairs) on which `pred` is true. Negative when samples are unavailable
+  // or `pred` references more than two relations.
+  double SampleSelectivity(const Predicate& pred) const;
+
  private:
   struct NodeEstimate {
     double rows = 0;
@@ -92,8 +97,6 @@ class CostModel {
   double DistinctOf(int rel_id, const std::string& column) const;
   const EquiDepthHistogram* HistogramOf(int rel_id,
                                         const std::string& column) const;
-  // Cross-sample estimate; negative when samples are unavailable.
-  double SampleSelectivity(const Predicate& pred) const;
 
   std::shared_ptr<const BaseStats> stats_;  // null only once moved from
   bool built_stats_ = false;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/str_util.h"
+
 namespace eca {
 
 namespace {
@@ -18,7 +20,7 @@ std::vector<KeyedOrdering> Orderings(RelSet s,
                                      const std::vector<RelSet>& preds) {
   std::vector<KeyedOrdering> out;
   if (s.Count() == 1) {
-    out.push_back({"R" + std::to_string(s.SingleId()), s.SingleId()});
+    out.push_back({StrCat("R", std::to_string(s.SingleId())), s.SingleId()});
     return out;
   }
   const uint64_t sbits = s.bits();
@@ -45,10 +47,10 @@ std::vector<KeyedOrdering> Orderings(RelSet s,
     for (const KeyedOrdering& l : left) {
       for (const KeyedOrdering& r : right) {
         if (l.min_rel <= r.min_rel) {
-          out.push_back({"(" + l.key + "," + r.key + ")",
+          out.push_back({StrCat("(", l.key, ",", r.key, ")"),
                          std::min(l.min_rel, r.min_rel)});
         } else {
-          out.push_back({"(" + r.key + "," + l.key + ")",
+          out.push_back({StrCat("(", r.key, ",", l.key, ")"),
                          std::min(l.min_rel, r.min_rel)});
         }
       }

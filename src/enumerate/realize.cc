@@ -1,13 +1,14 @@
 #include "enumerate/realize.h"
 
+#include "common/str_util.h"
 #include "enumerate/subtree.h"
 #include "rewrite/oj_simplify.h"
 
 namespace eca {
 
 std::string OrderingNode::Key() const {
-  if (is_leaf()) return "R" + std::to_string(rels.SingleId());
-  return "(" + left->Key() + "," + right->Key() + ")";
+  if (is_leaf()) return StrCat("R", std::to_string(rels.SingleId()));
+  return StrCat("(", left->Key(), ",", right->Key(), ")");
 }
 
 namespace {

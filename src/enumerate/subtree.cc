@@ -1,5 +1,7 @@
 #include "enumerate/subtree.h"
 
+#include "common/str_util.h"
+
 namespace eca {
 
 namespace {
@@ -135,14 +137,14 @@ std::string OrderingKeyImpl(const Plan& plan, int* min_rel) {
   switch (plan.kind()) {
     case Plan::Kind::kLeaf:
       *min_rel = plan.rel_id();
-      return "R" + std::to_string(plan.rel_id());
+      return StrCat("R", std::to_string(plan.rel_id()));
     case Plan::Kind::kJoin: {
       int lmin = 0, rmin = 0;
       std::string l = OrderingKeyImpl(*plan.left(), &lmin);
       std::string r = OrderingKeyImpl(*plan.right(), &rmin);
       *min_rel = std::min(lmin, rmin);
-      if (lmin <= rmin) return "(" + l + "," + r + ")";
-      return "(" + r + "," + l + ")";
+      if (lmin <= rmin) return StrCat("(", l, ",", r, ")");
+      return StrCat("(", r, ",", l, ")");
     }
     case Plan::Kind::kComp:
       return OrderingKeyImpl(*plan.child(), min_rel);

@@ -75,17 +75,23 @@ bool KeyColumn::SetFromRow(int64_t r, const Tuple& row, int col,
   if (col >= 0) {
     const Value& v = row[static_cast<size_t>(col)];
     if (v.is_null()) return false;
+    // The tag came from the schema's declared column types; a value of
+    // another runtime type would read the wrong member of Value's union.
     switch (tag_) {
       case Tag::kInt64:
+        ECA_DCHECK(v.type() == DataType::kInt64);
         ints_[sr] = v.raw_int();
         return true;
       case Tag::kDouble:
+        ECA_DCHECK(v.type() == DataType::kDouble);
         doubles_[sr] = v.raw_double();
         return true;
       case Tag::kNumeric:
+        ECA_DCHECK(v.type() != DataType::kString);
         doubles_[sr] = v.NumericValue();
         return true;
       case Tag::kString:
+        ECA_DCHECK(v.type() == DataType::kString);
         strs_[sr] = &v.raw_str();
         return true;
       case Tag::kGeneric:

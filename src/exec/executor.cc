@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/metrics.h"
+#include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "exec/fused_comp.h"
@@ -25,10 +26,12 @@ double MsSince(Clock::time_point t0) {
 std::string NodeLabel(const Plan& plan) {
   switch (plan.kind()) {
     case Plan::Kind::kLeaf:
-      return "scan R" + std::to_string(plan.rel_id());
-    case Plan::Kind::kJoin:
-      return std::string(JoinOpName(plan.op())) +
-             (plan.pred() ? "[" + plan.pred()->DisplayName() + "]" : "");
+      return StrCat("scan R", std::to_string(plan.rel_id()));
+    case Plan::Kind::kJoin: {
+      std::string label = JoinOpName(plan.op());
+      if (plan.pred()) label += StrCat("[", plan.pred()->DisplayName(), "]");
+      return label;
+    }
     case Plan::Kind::kComp:
       return plan.comp().ToString();
   }

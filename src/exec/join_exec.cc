@@ -276,9 +276,8 @@ Relation NestedLoopJoin(JoinOp op, const PredRef& pred, const Relation& left,
       if (stats != nullptr) ++stats->probe_comparisons;
       bool match = true;
       if (have_pred) {
-        Tuple t = ConcatTuples(left.rows()[static_cast<size_t>(li)],
-                               right.rows()[static_cast<size_t>(ri)]);
-        match = compiled.EvalTrue(t);
+        match = compiled.EvalTrue(left.rows()[static_cast<size_t>(li)],
+                                  right.rows()[static_cast<size_t>(ri)]);
       }
       if (match) emitter.Match(li, ri);
     }
@@ -710,8 +709,7 @@ class GraceHashJoin {
         const Tuple& brow = build_rows[bi].row;
         const Tuple& lrow = build_left_ ? brow : prow;
         const Tuple& rrow = build_left_ ? prow : brow;
-        if (residual_ != nullptr &&
-            !residual_->EvalTrue(ConcatTuples(lrow, rrow))) {
+        if (residual_ != nullptr && !residual_->EvalTrue(lrow, rrow)) {
           continue;
         }
         if (need_probe) probe_flags[static_cast<size_t>(ptag)] = 1;
@@ -923,8 +921,7 @@ Relation HashJoin(JoinOp op, const std::vector<EquiKey>& keys,
             const Tuple& brow = build.rows()[static_cast<size_t>(bi)];
             const Tuple& lrow = build_left ? brow : prow;
             const Tuple& rrow = build_left ? prow : brow;
-            if (have_residual &&
-                !compiled_residual.EvalTrue(ConcatTuples(lrow, rrow))) {
+            if (have_residual && !compiled_residual.EvalTrue(lrow, rrow)) {
               continue;
             }
             if (need_probe) probe_matched[static_cast<size_t>(pi)] = 1;
@@ -1071,10 +1068,9 @@ Relation SortMergeJoin(JoinOp op, const std::vector<EquiKey>& keys,
           if (stats != nullptr) ++stats->probe_comparisons;
           bool match = true;
           if (have_residual) {
-            Tuple t = ConcatTuples(
+            match = compiled_residual.EvalTrue(
                 left.rows()[static_cast<size_t>(ls[a].row)],
                 right.rows()[static_cast<size_t>(rs[b].row)]);
-            match = compiled_residual.EvalTrue(t);
           }
           if (match) emitter.Match(ls[a].row, rs[b].row);
         }

@@ -132,12 +132,12 @@ Value Scalar::Eval(const Schema& schema, const Tuple& tuple) const {
 std::string Scalar::ToString() const {
   switch (kind_) {
     case Kind::kColumn:
-      return "R" + std::to_string(rel_id_) + "." + column_name_;
+      return StrCat("R", std::to_string(rel_id_), ".", column_name_);
     case Kind::kConst:
       return const_value_.ToString();
     case Kind::kArith:
-      return "(" + left_->ToString() + " " + ArithOpSymbol(arith_op_) + " " +
-             right_->ToString() + ")";
+      return StrCat("(", left_->ToString(), " ", ArithOpSymbol(arith_op_), " ",
+                    right_->ToString(), ")");
   }
   return "?";
 }
@@ -294,13 +294,13 @@ std::string Predicate::ToString() const {
       std::vector<std::string> parts;
       parts.reserve(children_.size());
       for (const PredRef& c : children_) parts.push_back(c->ToString());
-      return "(" + StrJoin(parts, " AND ") + ")";
+      return StrCat("(", StrJoin(parts, " AND "), ")");
     }
     case Kind::kOr: {
       std::vector<std::string> parts;
       parts.reserve(children_.size());
       for (const PredRef& c : children_) parts.push_back(c->ToString());
-      return "(" + StrJoin(parts, " OR ") + ")";
+      return StrCat("(", StrJoin(parts, " OR "), ")");
     }
     case Kind::kNot:
       return "NOT (" + children_[0]->ToString() + ")";
@@ -476,30 +476,52 @@ int CompiledPredicate::CompilePred(const Predicate& p, const Schema& schema) {
   return static_cast<int>(preds_.size()) - 1;
 }
 
-Value CompiledPredicate::EvalScalar(int idx, const Tuple& tuple) const {
+namespace {
+
+// The row `left ++ right`, read in place.
+struct RowPair {
+  const Tuple& left;
+  const Tuple& right;
+  const Value& operator[](size_t i) const {
+    return i < left.size() ? left[i] : right[i - left.size()];
+  }
+};
+
+}  // namespace
+
+template <typename Row>
+const Value& CompiledPredicate::EvalScalar(int idx, const Row& row,
+                                           Value* tmp) const {
   const ScalarNode& n = scalars_[static_cast<size_t>(idx)];
   switch (n.kind) {
     case Scalar::Kind::kColumn:
-      return tuple[static_cast<size_t>(n.column_index)];
+      return row[static_cast<size_t>(n.column_index)];
     case Scalar::Kind::kConst:
       return n.const_value;
-    case Scalar::Kind::kArith:
-      return ApplyArith(n.arith_op, EvalScalar(n.l, tuple),
-                        EvalScalar(n.r, tuple));
+    case Scalar::Kind::kArith: {
+      Value l, r;
+      *tmp = ApplyArith(n.arith_op, EvalScalar(n.l, row, &l),
+                        EvalScalar(n.r, row, &r));
+      return *tmp;
+    }
   }
-  return Value::Null();
+  *tmp = Value::Null();
+  return *tmp;
 }
 
-TriBool CompiledPredicate::EvalNode(int idx, const Tuple& tuple) const {
+template <typename Row>
+TriBool CompiledPredicate::EvalNode(int idx, const Row& row) const {
   const Node& n = preds_[static_cast<size_t>(idx)];
   switch (n.kind) {
-    case Predicate::Kind::kCompare:
-      return ApplyCompare(n.cmp_op, EvalScalar(n.scalar_l, tuple),
-                          EvalScalar(n.scalar_r, tuple));
+    case Predicate::Kind::kCompare: {
+      Value l, r;
+      return ApplyCompare(n.cmp_op, EvalScalar(n.scalar_l, row, &l),
+                          EvalScalar(n.scalar_r, row, &r));
+    }
     case Predicate::Kind::kAnd: {
       TriBool acc = TriBool::kTrue;
       for (int c : n.children) {
-        acc = TriAnd(acc, EvalNode(c, tuple));
+        acc = TriAnd(acc, EvalNode(c, row));
         if (acc == TriBool::kFalse) break;
       }
       return acc;
@@ -507,20 +529,22 @@ TriBool CompiledPredicate::EvalNode(int idx, const Tuple& tuple) const {
     case Predicate::Kind::kOr: {
       TriBool acc = TriBool::kFalse;
       for (int c : n.children) {
-        acc = TriOr(acc, EvalNode(c, tuple));
+        acc = TriOr(acc, EvalNode(c, row));
         if (acc == TriBool::kTrue) break;
       }
       return acc;
     }
     case Predicate::Kind::kNot:
-      return TriNot(EvalNode(n.children[0], tuple));
+      return TriNot(EvalNode(n.children[0], row));
     case Predicate::Kind::kConstBool:
       return FromBool(n.const_bool);
-    case Predicate::Kind::kIsNull:
-      return FromBool(EvalScalar(n.scalar_l, tuple).is_null());
+    case Predicate::Kind::kIsNull: {
+      Value tmp;
+      return FromBool(EvalScalar(n.scalar_l, row, &tmp).is_null());
+    }
     case Predicate::Kind::kAllNullBlock: {
       for (int col : n.all_null_columns) {
-        if (!tuple[static_cast<size_t>(col)].is_null()) {
+        if (!row[static_cast<size_t>(col)].is_null()) {
           return TriBool::kFalse;
         }
       }
@@ -533,6 +557,11 @@ TriBool CompiledPredicate::EvalNode(int idx, const Tuple& tuple) const {
 TriBool CompiledPredicate::Eval(const Tuple& tuple) const {
   ECA_DCHECK(root_ >= 0);
   return EvalNode(root_, tuple);
+}
+
+bool CompiledPredicate::EvalTrue(const Tuple& left, const Tuple& right) const {
+  ECA_DCHECK(root_ >= 0);
+  return IsTrue(EvalNode(root_, RowPair{left, right}));
 }
 
 }  // namespace eca

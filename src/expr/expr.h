@@ -177,6 +177,12 @@ class CompiledPredicate {
   TriBool Eval(const Tuple& tuple) const;
   bool EvalTrue(const Tuple& tuple) const { return IsTrue(Eval(tuple)); }
 
+  // Evaluates over the row `left ++ right` without building it: column
+  // indexes below left.size() read `left`, the rest read `right`. Equal
+  // to EvalTrue(ConcatTuples(left, right)) for a predicate bound to the
+  // concatenated schema.
+  bool EvalTrue(const Tuple& left, const Tuple& right) const;
+
  private:
   struct Node {
     Predicate::Kind kind;
@@ -196,8 +202,14 @@ class CompiledPredicate {
 
   int CompilePred(const Predicate& p, const Schema& schema);
   int CompileScalar(const Scalar& s, const Schema& schema);
-  Value EvalScalar(int idx, const Tuple& tuple) const;
-  TriBool EvalNode(int idx, const Tuple& tuple) const;
+  // `Row` is Tuple or the two-row view behind EvalTrue(left, right):
+  // anything with `const Value& operator[](size_t)`. Column and constant
+  // scalars return a reference into the row or the node; computed ones
+  // are written to `*tmp`, so no Value (or string payload) is copied.
+  template <typename Row>
+  const Value& EvalScalar(int idx, const Row& row, Value* tmp) const;
+  template <typename Row>
+  TriBool EvalNode(int idx, const Row& row) const;
 
   std::vector<Node> preds_;
   std::vector<ScalarNode> scalars_;

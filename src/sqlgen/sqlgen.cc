@@ -8,7 +8,7 @@ namespace {
 
 // Alias for a column in generated SQL: r<rel>_<name>.
 std::string ColAlias(int rel_id, const std::string& name) {
-  return "r" + std::to_string(rel_id) + "_" + name;
+  return StrCat("r", std::to_string(rel_id), "_", name);
 }
 
 std::string Indent(const std::string& s, int n) {
@@ -39,7 +39,7 @@ class SqlGenerator {
         rel_id < static_cast<int>(options_.table_names.size())) {
       return options_.table_names[static_cast<size_t>(rel_id)];
     }
-    return "t" + std::to_string(rel_id);
+    return StrCat("t", std::to_string(rel_id));
   }
 
   static std::string SelectList(const Schema& schema) {
@@ -72,8 +72,8 @@ class SqlGenerator {
             op = "/";
             break;
         }
-        return "(" + RenderScalar(*s.left()) + " " + op + " " +
-               RenderScalar(*s.right()) + ")";
+        return StrCat("(", RenderScalar(*s.left()), " ", op, " ",
+                      RenderScalar(*s.right()), ")");
       }
     }
     return "NULL";

@@ -84,7 +84,7 @@ std::string ExplainDifference(const Relation& a, const Relation& b,
     std::vector<std::string> parts;
     parts.reserve(t.size());
     for (const Value& v : t) parts.push_back(v.ToString());
-    return "[" + StrJoin(parts, ", ") + "]";
+    return StrCat("[", StrJoin(parts, ", "), "]");
   };
   while ((i < ra.size() || j < rb.size()) && diffs < max_diffs) {
     int c;
@@ -118,11 +118,7 @@ std::string ExplainDifference(const Relation& a, const Relation& b,
 int64_t ApproxTupleBytes(const Tuple& t) {
   int64_t bytes = static_cast<int64_t>(sizeof(Tuple)) +
                   static_cast<int64_t>(t.capacity() * sizeof(Value));
-  for (const Value& v : t) {
-    if (!v.is_null() && v.type() == DataType::kString) {
-      bytes += static_cast<int64_t>(v.AsStr().capacity());
-    }
-  }
+  for (const Value& v : t) bytes += v.payload_bytes();
   return bytes;
 }
 

@@ -63,9 +63,12 @@ std::string ExplainDifference(const Relation& a, const Relation& b,
                               int max_diffs = 5);
 
 // Accounting heuristic for one in-memory tuple: container overhead plus
-// per-value footprint (string payloads included). Shared by the executor's
-// memory-tracker charge sites and the spill machinery's run thresholds so
-// "bytes" mean one thing across the resource governor.
+// sizeof(Value) (16 bytes) per value plus every referenced string
+// payload (header and capacity, Value::payload_bytes). Rows share string
+// payloads (types/value.h), yet each referencing value is charged the
+// whole payload: an over-count, so a hard limit still holds. Shared by
+// the executor's memory-tracker charge sites and the spill machinery's
+// run thresholds so "bytes" mean one thing across the resource governor.
 int64_t ApproxTupleBytes(const Tuple& t);
 
 // Sum of ApproxTupleBytes over a row vector (the relation's row storage).

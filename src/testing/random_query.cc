@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "common/str_util.h"
+
 namespace eca {
 
 PlanPtr RandomQuery(Rng& rng, const RandomQueryOptions& qopts,
@@ -43,7 +45,7 @@ PlanPtr RandomQuery(Rng& rng, const RandomQueryOptions& qopts,
     }
 
     // Predicate over one visible relation of each side.
-    std::string label = "p" + std::to_string(pred_counter++);
+    std::string label = StrCat("p", std::to_string(pred_counter++));
     PredRef pred =
         rng.Bernoulli(qopts.tolerant_pred_prob)
             ? RandomTolerantJoinPredicate(rng, left->output_rels(),

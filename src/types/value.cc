@@ -18,6 +18,19 @@ const char* DataTypeName(DataType t) {
   return "?";
 }
 
+Value Value::Str(std::string s) {
+  Value v;
+  v.type_ = DataType::kString;
+  v.null_ = false;
+  v.u_.str = s.empty() ? nullptr : new StrPayload{{1}, std::move(s)};
+  return v;
+}
+
+const std::string& Value::EmptyString() {
+  static const std::string kEmpty;
+  return kEmpty;
+}
+
 int Value::Compare(const Value& other) const {
   if (null_ || other.null_) {
     if (null_ && other.null_) return 0;
@@ -35,7 +48,8 @@ int Value::Compare(const Value& other) const {
     if (a > b) return 1;
     return 0;
   }
-  int c = str_.compare(other.str_);
+  if (u_.str == other.u_.str) return 0;  // one shared payload (or both "")
+  int c = str().compare(other.str());
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
@@ -77,11 +91,11 @@ uint64_t Value::Hash() const {
   if (null_) return 0x9e3779b97f4a7c15ULL;
   switch (type_) {
     case DataType::kInt64:
-      return HashInt64Key(int_);
+      return HashInt64Key(u_.i);
     case DataType::kDouble:
-      return HashDoubleKey(double_);
+      return HashDoubleKey(u_.d);
     case DataType::kString:
-      return HashStringKey(str_);
+      return HashStringKey(str());
   }
   return 0;
 }
@@ -90,11 +104,11 @@ std::string Value::ToString() const {
   if (null_) return "null";
   switch (type_) {
     case DataType::kInt64:
-      return std::to_string(int_);
+      return std::to_string(u_.i);
     case DataType::kDouble:
-      return StrFormat("%g", double_);
+      return StrFormat("%g", u_.d);
     case DataType::kString:
-      return "'" + str_ + "'";
+      return "'" + str() + "'";
   }
   return "?";
 }

@@ -16,6 +16,7 @@
 
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "cost/cost_model.h"
 #include "eca/optimizer.h"
 #include "enumerate/enumerator.h"
@@ -232,8 +233,8 @@ TEST(StatsSnapshotTest, PaperVariantsChooseAsWithFreshStats) {
   std::vector<PlanPtr> plans = PaperPlans(data);
   for (size_t i = 0; i < plans.size(); ++i) {
     ExpectSameChoice(*plans[i], q3.db,
-                     "Q" + std::to_string(i / 6 + 1) + " nu=" +
-                         std::to_string(kNuSweep[i % 6]));
+                     StrCat("Q", std::to_string(i / 6 + 1), " nu=",
+                            std::to_string(kNuSweep[i % 6])));
   }
 }
 
